@@ -60,11 +60,10 @@
 //     folding collector. The spec is one seed or an explicit
 //     clients=,servers=,fanout=,reqs=,rate=,bytes=,cap=,cost=,mode=
 //     grammar; expected units, checksum and per-edge flows are closed
-//     forms, and the differential battery additionally asserts each
-//     cell's monitor-window latency tail (monotone p50 ≤ p95 ≤ p99,
-//     bounded by the observed max and the makespan). Soak with
-//     embera-bench -exp BURST -seeds N; failures print the one-line
-//     -exp BURST -seed repro.
+//     forms, so the differential battery sweeps it exactly like rand.
+//     Soak with embera-bench -exp DIFF -family burst -seeds N; failures
+//     print the one-line -exp DIFF -family burst -seed <n> -seeds 1
+//     repro.
 //   - replay:<file> (internal/replaywl) — a recorded run as a
 //     deterministic benchmark. `embera-trace capture` (or GET
 //     /v1/assemblies/{id}/capture on a live embera-serve) writes an
@@ -76,20 +75,24 @@
 //     have closed-form expected checksums; incomplete ones are rejected
 //     at parse time, and golden-file tests lock the byte formats.
 //
-// The differential conformance engine (internal/conformance) runs each
-// seed across every registered platform and asserts checksum equality
-// everywhere, bit-identical timing fingerprints on deterministic
-// platforms, per-interface flow conservation (sends == receives +
-// in-flight depth at teardown; on the cluster platform the inbox sum
-// spans every shard's senders and each cross-shard edge's wire-frame
-// count must equal its producer's send count), agreement between the
-// streaming
-// monitor's window aggregates and the final observer report, and — on
-// simulated Linux — complete correlation between kernel copies and
-// application sends. `go test ./internal/conformance -run Differential`
-// sweeps 64 seeds; `embera-bench -exp FUZZ -seeds N` soaks further, and
-// any failure prints a one-line `embera-bench -exp FUZZ -seed <n>`
-// repro.
+// The differential conformance engine (internal/conformance) has one
+// entry point, conformance.Sweep, and one per-cell battery for every
+// family. It runs each seed across every registered platform and asserts
+// checksum equality everywhere, bit-identical timing fingerprints on
+// deterministic platforms, per-interface flow conservation (sends ==
+// receives + in-flight depth at teardown; on the cluster platform the
+// inbox sum spans every shard's senders and each cross-shard edge's
+// wire-frame count must equal its producer's send count), per-component
+// postconditions (done, not running, sane time and memory, middleware
+// == application counters), agreement between the streaming monitor's
+// window aggregates and the final observer report, a monotone,
+// makespan-bounded latency tail (p50 ≤ p95 ≤ p99 through the monitor
+// windows), and — on simulated Linux — complete correlation between
+// kernel copies and application sends. `go test ./internal/conformance
+// -run DifferentialConformance` sweeps 64 rand and 16 burst seeds, plain
+// and migrated; `embera-bench -exp DIFF -family rand|burst [-migrate]
+// -seeds N` soaks further, and any failure prints a one-line
+// `embera-bench -exp DIFF -family <f> -seed <n> -seeds 1` repro.
 //
 // # Feedback control
 //
@@ -117,10 +120,10 @@
 // migrate/reconnect points is semantics-preserving by construction, and
 // the differential battery proves it: ctl.ScheduleFor derives a
 // deterministic schedule from the assembly name, ctl.AttachMigrations
-// injects it into running rand:<seed> cells, and checksums, flow
-// conservation and monitor agreement must survive any schedule on every
-// platform (`embera-bench -exp CTL -seeds N`; failures print the
-// one-line -exp CTL -seed repro). examples/feedback runs the loop end
+// injects it into every cell of a migrated sweep, and the whole battery
+// must survive any schedule on every platform (`embera-bench -exp DIFF
+// -migrate -seeds N`; failures print the one-line repro with -migrate).
+// examples/feedback runs the loop end
 // to end: a depth high-water policy rebinds a hot component's work to
 // an idle spare with message conservation asserted.
 //

@@ -1,92 +1,16 @@
 package conformance_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"embera/internal/conformance"
+	"embera/internal/exp"
 	"embera/internal/platform"
 
 	// Workload registrations for the matrix battery.
 	_ "embera/internal/mjpegapp"
 	_ "embera/internal/pipelineapp"
 )
-
-// runSuite executes the randomized invariant battery on one platform.
-func runSuite(t *testing.T, p platform.Platform, seeds int) {
-	t.Helper()
-	for seed := 0; seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)*7919 + 13))
-		topo := conformance.GenTopology(rng)
-		env := conformance.NewEnv(p, "conf")
-		if err := conformance.Build(env, topo, rng); err != nil {
-			t.Fatalf("seed %d: build: %v", seed, err)
-		}
-		st, err := conformance.Run(env)
-		if err != nil {
-			t.Fatalf("seed %d: run: %v", seed, err)
-		}
-		if err := conformance.CheckInvariants(st); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-		if st.TotalSent == 0 {
-			t.Errorf("seed %d: degenerate topology sent nothing", seed)
-		}
-	}
-}
-
-func TestConformanceEveryPlatform(t *testing.T) {
-	for _, name := range platform.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			runSuite(t, platform.MustGet(name), 25)
-		})
-	}
-}
-
-func TestBindingsAgreeOnCounters(t *testing.T) {
-	// The same topology must produce identical application-level counters
-	// on every platform (timings differ, semantics must not).
-	names := platform.Names()
-	if len(names) < 2 {
-		t.Skip("need at least two platforms")
-	}
-	for seed := 0; seed < 10; seed++ {
-		stats := make([]*conformance.Stats, len(names))
-		for i, pn := range names {
-			rng := rand.New(rand.NewSource(int64(seed)))
-			topo := conformance.GenTopology(rng)
-			env := conformance.NewEnv(platform.MustGet(pn), "conf")
-			env.MaxPlacement = 0 // identical assembly on every platform
-			if err := conformance.Build(env, topo, rng); err != nil {
-				t.Fatal(err)
-			}
-			st, err := conformance.Run(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats[i] = st
-		}
-		ref := stats[0]
-		for i, st := range stats[1:] {
-			if st.TotalSent != ref.TotalSent || st.TotalReceived != ref.TotalReceived {
-				t.Errorf("seed %d: %s disagrees with %s: %d/%d vs %d/%d", seed,
-					names[i+1], names[0], st.TotalSent, st.TotalReceived,
-					ref.TotalSent, ref.TotalReceived)
-			}
-			for name, repA := range ref.Reports {
-				repB, ok := st.Reports[name]
-				if !ok {
-					t.Fatalf("seed %d: component %s missing on %s", seed, name, names[i+1])
-				}
-				if repA.App.SendOps != repB.App.SendOps || repA.App.RecvOps != repB.App.RecvOps {
-					t.Errorf("seed %d: %s counters differ: %d/%d vs %d/%d", seed, name,
-						repA.App.SendOps, repA.App.RecvOps, repB.App.SendOps, repB.App.RecvOps)
-				}
-			}
-		}
-	}
-}
 
 // TestWorkloadMatrix runs every registered workload on every registered
 // platform twice. On deterministic (virtual-time) platforms the two runs
@@ -96,81 +20,53 @@ func TestBindingsAgreeOnCounters(t *testing.T) {
 // workload's checksum must always agree (portability) — that includes the
 // native platform reproducing the simulators' checksums.
 func TestWorkloadMatrix(t *testing.T) {
-	const scale = 8
+	type cell struct {
+		platform    string
+		fingerprint uint64
+		checksum    uint64
+		units       int
+	}
+	run := func(t *testing.T, p platform.Platform, wn string) cell {
+		t.Helper()
+		r, err := exp.Run(p, platform.MustGetWorkload(wn), exp.Options{Options: platform.Options{Scale: 8}})
+		if err != nil {
+			t.Fatalf("%s × %s: %v", p.Name(), wn, err)
+		}
+		fp, err := conformance.Fingerprint(r)
+		if err != nil {
+			t.Fatalf("%s × %s: %v", p.Name(), wn, err)
+		}
+		return cell{p.Name(), fp, r.Instance.Checksum(), r.Instance.Units()}
+	}
 	for _, wn := range platform.WorkloadNames() {
-		wn := wn
 		t.Run(wn, func(t *testing.T) {
-			type cellID struct {
-				platform string
-				cell     *conformance.MatrixCell
-			}
-			var cells []cellID
+			var cells []cell
 			for _, pn := range platform.Names() {
 				p := platform.MustGet(pn)
-				opts := platform.Options{Scale: scale}
-				first, err := conformance.RunMatrixCell(p, platform.MustGetWorkload(wn), opts)
-				if err != nil {
-					t.Fatalf("%s × %s: %v", pn, wn, err)
-				}
-				second, err := conformance.RunMatrixCell(p, platform.MustGetWorkload(wn), opts)
-				if err != nil {
-					t.Fatalf("%s × %s (rerun): %v", pn, wn, err)
-				}
-				if p.Deterministic() && first.Fingerprint != second.Fingerprint {
+				first, second := run(t, p, wn), run(t, p, wn)
+				if p.Deterministic() && first.fingerprint != second.fingerprint {
 					t.Errorf("%s × %s: nondeterministic reports: %016x vs %016x",
-						pn, wn, first.Fingerprint, second.Fingerprint)
+						pn, wn, first.fingerprint, second.fingerprint)
 				}
-				if first.Checksum != second.Checksum || first.Units != second.Units {
+				if first.checksum != second.checksum || first.units != second.units {
 					t.Errorf("%s × %s: nondeterministic results: %016x/%d vs %016x/%d",
-						pn, wn, first.Checksum, first.Units, second.Checksum, second.Units)
+						pn, wn, first.checksum, first.units, second.checksum, second.units)
 				}
-				if first.Units == 0 {
+				if first.units == 0 {
 					t.Errorf("%s × %s: no work done", pn, wn)
 				}
-				cells = append(cells, cellID{platform: pn, cell: first})
+				cells = append(cells, first)
 			}
 			for _, c := range cells[1:] {
-				if c.cell.Checksum != cells[0].cell.Checksum {
+				if c.checksum != cells[0].checksum {
 					t.Errorf("checksum differs across platforms: %s %016x vs %s %016x",
-						c.platform, c.cell.Checksum, cells[0].platform, cells[0].cell.Checksum)
+						c.platform, c.checksum, cells[0].platform, cells[0].checksum)
 				}
-				if c.cell.Units != cells[0].cell.Units {
+				if c.units != cells[0].units {
 					t.Errorf("units differ across platforms: %s %d vs %s %d",
-						c.platform, c.cell.Units, cells[0].platform, cells[0].cell.Units)
+						c.platform, c.units, cells[0].platform, cells[0].units)
 				}
 			}
 		})
-	}
-}
-
-func TestTopologyGeneratorSane(t *testing.T) {
-	for seed := 0; seed < 50; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		topo := conformance.GenTopology(rng)
-		if len(topo.Layers) < 2 {
-			t.Fatalf("seed %d: %d layers", seed, len(topo.Layers))
-		}
-		// Every non-source component has a producer.
-		for li := 1; li < len(topo.Layers); li++ {
-			for _, name := range topo.Layers[li] {
-				found := false
-				for _, outs := range topo.Connections {
-					for _, o := range outs {
-						if o == name {
-							found = true
-						}
-					}
-				}
-				if !found {
-					t.Fatalf("seed %d: %s has no producer", seed, name)
-				}
-			}
-		}
-		// Sources produce something.
-		for _, name := range topo.Layers[0] {
-			if topo.Produces[name] <= 0 {
-				t.Fatalf("seed %d: source %s produces nothing", seed, name)
-			}
-		}
 	}
 }

@@ -1,13 +1,16 @@
-// Differential conformance: the record-and-compare battery that runs one
-// generated workload seed across every registered platform and
-// cross-checks everything the observation stack reports. Two families
-// plug in today — internal/fuzzwl's "rand:<seed>" random DAGs and
-// internal/burstwl's "burst:<seed>" open-loop RPC cells — and any
-// workload whose instance implements platform.FlowModeler gets the same
-// treatment. It is the strongest pressure the repository puts on the
-// paper's central claim — that component-level observation stays faithful
-// across heterogeneous platforms — because none of the workloads it runs
-// were ever hand-written:
+// Package conformance is the differential engine: the record-and-compare
+// battery that runs generated workload seeds across every registered
+// platform and cross-checks everything the observation stack reports. Any
+// parameterized workload family registered as "<family>:<seed>" plugs in —
+// internal/fuzzwl's "rand" random DAGs and internal/burstwl's "burst"
+// open-loop RPC cells today — as long as its instances implement
+// platform.FlowModeler. It is the strongest pressure the repository puts on
+// the paper's central claim — that component-level observation stays
+// faithful across heterogeneous platforms — because none of the workloads
+// it runs were ever hand-written.
+//
+// There is one entry point, Sweep, and one per-cell battery. Every
+// seed × platform cell, plain or migrated, of every family, must satisfy:
 //
 //   - result checksums and unit counts must be identical on every platform
 //     (portability of application semantics);
@@ -17,85 +20,285 @@
 //     inbox equal messages received plus the in-flight depth the final
 //     report shows at teardown — and both must match the workload's
 //     closed-form flow model (platform.FlowModeler);
-//   - for latency-bearing families (burst) the monitor's windowed
-//     send-latency histograms must carry samples and report monotonic,
-//     makespan-bounded p50/p95/p99 percentiles;
 //   - on process-sharded machines (the cluster platform) the same law is
 //     accounted per shard: the sends into an inbox are summed per source
 //     process so a cross-process mismatch names the interface and the
 //     shards on both ends, and every cross-shard edge must show exactly
 //     one wire frame per producer send op;
+//   - every component's final report must show it done, no longer running
+//     in the OS view, with a non-negative execution time, positive memory,
+//     middleware counters equal to the application counters and the
+//     observation interface listed first;
 //   - the streaming monitor's window aggregates must agree with the final
 //     pull-model observer report (cumulative counters never exceed the
 //     final ones, merged deltas reproduce the cumulative totals, and no
 //     sample is lost unaccounted);
+//   - the monitor's windowed send-latency histograms must report
+//     monotonic, makespan-bounded p50/p95/p99 percentiles, and carry
+//     samples at all on any deterministic run spanning a window;
+//   - with Spec.Migrate set, a seeded schedule of same-target
+//     migrate/reconnect points fires while each cell flows, and every
+//     point must apply cleanly or legally race termination;
 //   - on the simulated-Linux platform the kernel trace must correlate
 //     completely with the EMBera send trace: no kernel copy without an
 //     application-level explanation, and no send without its kernel copy.
 //
-// Every failure carries the one-line repro command
-// ("embera-bench -exp FUZZ -seed <n>") so a nightly soak finding reduces to
-// a single deterministic invocation.
+// Every failure names its seed and ends with a one-line repro rendered
+// from the Spec ("embera-bench -exp DIFF -family rand -seed <n> -seeds 1"),
+// so a nightly soak finding reduces to a single deterministic invocation.
 package conformance
 
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
-	"embera/internal/burstwl"
 	"embera/internal/core"
-	"embera/internal/correlate"
 	"embera/internal/ctl"
 	"embera/internal/exp"
-	"embera/internal/fuzzwl"
 	"embera/internal/kptrace"
 	"embera/internal/monitor"
 	"embera/internal/platform"
 	"embera/internal/smpbind"
 	"embera/internal/trace"
+
+	// The workload families a Sweep resolves through the registry.
+	_ "embera/internal/burstwl"
+	_ "embera/internal/fuzzwl"
 )
+
+// Spec selects one differential sweep: the seeds [Start, Start+N) of one
+// workload family, each run on every requested platform.
+type Spec struct {
+	// Family is the workload-family prefix; seed s resolves as the
+	// registry name "<Family>:<s>" ("rand", "burst").
+	Family string
+	// Migrate attaches the fuzzed migration scheduler to every cell.
+	Migrate bool
+	// Platforms restricts the sweep to the named platforms (nil = every
+	// registered platform).
+	Platforms []string
+	// Start is the first seed; N is the number of seeds.
+	Start int64
+	N     int
+}
+
+// workload is the registry name of seed s's cell.
+func (s Spec) workload(seed int64) string { return fmt.Sprintf("%s:%d", s.Family, seed) }
+
+// repro is the one-line command that reruns exactly one seed of this
+// sweep through the same engine.
+func (s Spec) repro(seed int64) string {
+	cmd := fmt.Sprintf("embera-bench -exp DIFF -family %s -seed %d -seeds 1", s.Family, seed)
+	if s.Migrate {
+		cmd += " -migrate"
+	}
+	if len(s.Platforms) == 1 {
+		cmd += " -platform " + s.Platforms[0]
+	}
+	return cmd
+}
 
 // migrationPoints is how many same-target migrate/reconnect points the
-// fuzzed migration scheduler injects into each migrated differential cell.
-// Delays land in the low milliseconds, so several points hit while the
-// generated workload is still flowing.
+// fuzzed migration scheduler injects into each migrated cell. Delays land
+// in the low milliseconds, so several points hit while the generated
+// workload is still flowing.
 const migrationPoints = 6
 
-// ctlReproCommand is the one-line reproduction command for a failing
-// migrated seed — the CTL twin of fuzzwl.ReproCommand.
-func ctlReproCommand(seed int64) string {
-	return fmt.Sprintf("embera-bench -exp CTL -seed %d", seed)
+// chunk is how many seeds run concurrently: all their cells are in flight
+// at once, which bounds the machines (and cluster worker processes) alive
+// at any moment.
+const chunk = 4
+
+// Sweep runs the differential battery over spec's seeds × platforms and
+// returns the number of cells executed. Cells of a chunk of seeds run
+// concurrently, each on its own machine; the first failing seed — lowest
+// seed, platform-name order within a seed — is returned as an error that
+// names the seed and ends with its one-line repro. The context is checked
+// between chunks, so an interrupted sweep finishes the chunk in flight (no
+// half-verified seeds) and returns ctx.Err() with the cell count so far.
+// Unknown platforms and families fail up front with the registry errors,
+// which list the valid names.
+func Sweep(ctx context.Context, spec Spec) (cells int, err error) {
+	if spec.N <= 0 {
+		return 0, fmt.Errorf("conformance: sweep needs a positive seed count, got %d", spec.N)
+	}
+	names := spec.Platforms
+	if names == nil {
+		names = platform.Names()
+	}
+	platforms := make([]platform.Platform, len(names))
+	for i, pn := range names {
+		if platforms[i], err = platform.Get(pn); err != nil {
+			return 0, err
+		}
+	}
+	if _, err := platform.GetWorkload(spec.workload(spec.Start)); err != nil {
+		return 0, err
+	}
+	end := spec.Start + int64(spec.N)
+	for lo := spec.Start; lo < end; lo += chunk {
+		if err := ctx.Err(); err != nil {
+			return cells, err
+		}
+		hi := min(lo+chunk, end)
+		rows := make([][]outcome, hi-lo)
+		var wg sync.WaitGroup
+		for s := lo; s < hi; s++ {
+			row := make([]outcome, len(platforms))
+			rows[s-lo] = row
+			for i, p := range platforms {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					row[i] = runCell(p, spec.workload(s), spec.Migrate)
+				}()
+			}
+		}
+		wg.Wait()
+		cells += len(rows) * len(platforms)
+		for s := lo; s < hi; s++ {
+			if err := compareRow(rows[s-lo]); err != nil {
+				return cells, fmt.Errorf("conformance: seed %d: %w\nrepro: %s", s, err, spec.repro(s))
+			}
+		}
+	}
+	return cells, nil
 }
 
-// family describes one parameterized workload family the differential
-// engine sweeps: how a seed's cell is named in the workload registry, the
-// one-line repro command a failure must surface, and whether the family's
-// runs carry tail-latency assertions through the monitor windows.
-type family struct {
-	name  func(int64) string
-	repro func(int64) string
-	tail  bool
+// outcome is one cell's verdict plus the result digest the cross-platform
+// comparison needs.
+type outcome struct {
+	platform string
+	checksum uint64
+	units    int
+	err      error
 }
 
-var (
-	randFamily  = family{name: fuzzwl.Name, repro: fuzzwl.ReproCommand}
-	ctlFamily   = family{name: fuzzwl.Name, repro: ctlReproCommand}
-	burstFamily = family{name: burstwl.Name, repro: burstwl.ReproCommand, tail: true}
-)
+// compareRow checks one seed's row of cells: every cell passed its
+// battery, and results agree across platforms.
+func compareRow(row []outcome) error {
+	for _, o := range row {
+		if o.err != nil {
+			return fmt.Errorf("%s: %w", o.platform, o.err)
+		}
+	}
+	ref := row[0]
+	for _, o := range row[1:] {
+		if o.checksum != ref.checksum || o.units != ref.units {
+			return fmt.Errorf("%s disagrees with %s: checksum %016x/%d units vs %016x/%d",
+				o.platform, ref.platform, o.checksum, o.units, ref.checksum, ref.units)
+		}
+	}
+	return nil
+}
 
-// sharder is the structural seam a machine exposes when it partitioned the
-// assembly across OS processes (the cluster platform): the placement
-// function, and the coordinator's per-edge relay counters for cross-shard
-// connections. When a run's machine implements it, flow conservation is
-// additionally accounted per shard — a send==receive mismatch names the
-// offending interface and the shards on both ends — and every cross-shard
-// edge's wire-frame count must equal the producer's send ops.
-type sharder interface {
-	ShardOf(name string) int
-	WireFrames(from, iface string) (uint64, bool)
+// runCell runs one workload on one platform under the full per-cell
+// battery: twice on deterministic platforms, whose reruns must agree
+// bit-exactly. A panic inside the cell becomes its error, so one broken
+// cell cannot take the sweep down.
+func runCell(p platform.Platform, workload string, migrate bool) (o outcome) {
+	o.platform = p.Name()
+	defer func() {
+		if r := recover(); r != nil {
+			o.err = fmt.Errorf("panicked: %v", r)
+		}
+	}()
+	runs := 1
+	if p.Deterministic() {
+		runs = 2
+	}
+	var first uint64
+	for r := 0; r < runs; r++ {
+		run, err := runChecked(p, workload, migrate)
+		if err != nil {
+			o.err = err
+			return o
+		}
+		checksum, units := run.Instance.Checksum(), run.Instance.Units()
+		var fp uint64
+		if runs > 1 {
+			// Fingerprints are only ever compared between reruns, so the
+			// full report serialization is skipped on wall-clock platforms.
+			if fp, err = Fingerprint(run); err != nil {
+				o.err = err
+				return o
+			}
+		}
+		if r == 0 {
+			first, o.checksum, o.units = fp, checksum, units
+			continue
+		}
+		if checksum != o.checksum || units != o.units {
+			o.err = fmt.Errorf("rerun results differ: %016x/%d vs %016x/%d", checksum, units, o.checksum, o.units)
+		} else if fp != first {
+			o.err = fmt.Errorf("nondeterministic timing fingerprints: %016x vs %016x", fp, first)
+		}
+	}
+	return o
+}
+
+// runChecked executes one run of a cell and applies every per-run check.
+func runChecked(p platform.Platform, workload string, migrate bool) (*exp.Result, error) {
+	w, err := platform.GetWorkload(workload)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		rec   *trace.Recorder
+		ktr   *kptrace.Tracer
+		sched *ctl.ScheduleResult
+	)
+	run, err := exp.Run(p, w, exp.Options{
+		Monitor: diffMonitorConfig(),
+		Customize: func(a *core.App, obs *core.Observer) {
+			// Kernel-copy correlation only exists on the simulated-Linux
+			// platform, so both tracers — the kernel-level baseline and the
+			// EMBera event recorder it correlates against — attach only
+			// there; other platforms skip the buffer and the per-event
+			// locking.
+			if b, ok := a.Binding().(*smpbind.Binding); ok {
+				rec = trace.NewRecorder(traceCapacity)
+				a.SetEventSink(rec)
+				ktr = kptrace.Attach(b.Sys, 0)
+			}
+			if migrate {
+				// The schedule is a pure function of the workload name, so
+				// a deterministic platform's rerun injects the identical
+				// points and the fingerprint comparison stays meaningful.
+				// On the cluster coordinator every component is external,
+				// the edge list is empty and the cell runs as a control.
+				sched = ctl.AttachMigrations(a, ctl.ScheduleFor(a, migrationPoints))
+			}
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	if run.Kernel != nil {
+		// Everything checked from here on is recorded data. Unwind the
+		// simulation's parked service flows, which would otherwise keep
+		// each finished machine — caches, recorder and all — alive for
+		// the rest of a long sweep.
+		defer run.Kernel.Shutdown()
+	}
+	if sched != nil {
+		if err := sched.Err(); err != nil {
+			return nil, fmt.Errorf("migration schedule: %w", err)
+		}
+	}
+	if err := CheckRun(run); err != nil {
+		return nil, err
+	}
+	if err := checkTailLatency(run); err != nil {
+		return nil, err
+	}
+	if ktr != nil {
+		if err := checkKernelCorrelation(ktr, rec); err != nil {
+			return nil, err
+		}
+	}
+	return run, nil
 }
 
 // diffMonitorConfig is the streaming-observation attachment every
@@ -112,557 +315,10 @@ func diffMonitorConfig() *monitor.Config {
 	}
 }
 
-// traceCapacity bounds the per-run event recorder. Generated topologies
-// stay in the low thousands of messages; the engine verifies nothing was
-// dropped before correlating, so an undersized buffer is an explicit
-// failure rather than a silent orphan source.
-const traceCapacity = 1 << 17
-
-// Differential runs the full differential battery for one seed across
-// every registered platform. Any returned error ends with the single-line
-// repro command for the failing seed.
-func Differential(seed int64) error {
-	return DifferentialOn(nil, seed)
-}
-
-// DifferentialOn is Differential restricted to the named platforms (nil =
-// every registered platform); with a single platform the cross-platform
-// comparison is vacuous but the per-run battery still applies, which is
-// what a platform-targeted repro wants.
-func DifferentialOn(platformNames []string, seed int64) error {
-	if platformNames == nil {
-		platformNames = platform.Names()
-	}
-	if err := differential(platformNames, randFamily, seed, false); err != nil {
-		return fmt.Errorf("%w\nrepro: %s", err, fuzzwl.ReproCommand(seed))
-	}
-	return nil
-}
-
-// DifferentialBurst runs the full differential battery for one burst-family
-// seed across every registered platform, including the tail-latency
-// assertions the open-loop arrival schedules exist to exercise.
-func DifferentialBurst(seed int64) error {
-	return DifferentialBurstOn(nil, seed)
-}
-
-// DifferentialBurstOn is DifferentialBurst restricted to the named
-// platforms (nil = every registered platform).
-func DifferentialBurstOn(platformNames []string, seed int64) error {
-	if platformNames == nil {
-		platformNames = platform.Names()
-	}
-	if err := differential(platformNames, burstFamily, seed, false); err != nil {
-		return fmt.Errorf("%w\nrepro: %s", err, burstwl.ReproCommand(seed))
-	}
-	return nil
-}
-
-// DifferentialMigrated runs the full differential battery for one seed
-// with the fuzzed migration scheduler attached: a deterministic schedule of
-// same-target migrate/reconnect points (derived from the workload name, so
-// deterministic-platform reruns inject identically) fires while the cell is
-// flowing. Every invariant the plain battery asserts — equal checksums,
-// bit-identical rerun fingerprints, per-interface flow conservation,
-// monitor agreement — must survive the schedule, and every point must
-// apply cleanly or legally race termination.
-func DifferentialMigrated(seed int64) error {
-	return DifferentialMigratedOn(nil, seed)
-}
-
-// DifferentialMigratedOn is DifferentialMigrated restricted to the named
-// platforms (nil = every registered platform).
-func DifferentialMigratedOn(platformNames []string, seed int64) error {
-	if platformNames == nil {
-		platformNames = platform.Names()
-	}
-	if err := differential(platformNames, ctlFamily, seed, true); err != nil {
-		return fmt.Errorf("%w\nrepro: %s", err, ctlReproCommand(seed))
-	}
-	return nil
-}
-
-func differential(platformNames []string, fam family, seed int64, migrate bool) error {
-	type outcome struct {
-		platform string
-		checksum uint64
-		units    int
-	}
-	var outcomes []outcome
-	for _, pn := range platformNames {
-		p, err := platform.Get(pn)
-		if err != nil {
-			return err
-		}
-		runs := 1
-		if p.Deterministic() {
-			runs = 2 // rerun to assert bit-identical timing fingerprints
-		}
-		var fingerprints []uint64
-		var first *outcome
-		for r := 0; r < runs; r++ {
-			var rec *trace.Recorder
-			var ktr *kptrace.Tracer
-			var sched *ctl.ScheduleResult
-			opts := exp.Options{
-				Monitor: diffMonitorConfig(),
-				Customize: func(a *core.App, obs *core.Observer) {
-					// Kernel-copy correlation only exists on the
-					// simulated-Linux platform, so both tracers — the
-					// kernel-level baseline and the EMBera event recorder
-					// it correlates against — attach only there; other
-					// platforms skip the buffer and the per-event locking.
-					if b, ok := a.Binding().(*smpbind.Binding); ok {
-						rec = trace.NewRecorder(traceCapacity)
-						a.SetEventSink(rec)
-						ktr = kptrace.Attach(b.Sys, 0)
-					}
-					if migrate {
-						// The schedule is a pure function of the workload
-						// name, so a deterministic platform's rerun injects
-						// the identical points and the fingerprint
-						// comparison below stays meaningful. On the cluster
-						// coordinator every component is external, the edge
-						// list is empty and the cell runs as a control.
-						sched = ctl.AttachMigrations(a, ctl.ScheduleFor(a, migrationPoints))
-					}
-				},
-			}
-			run, err := exp.RunNamed(pn, fam.name(seed), opts)
-			if err != nil {
-				return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-			}
-			if sched != nil {
-				if err := sched.Err(); err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: migration schedule: %w", seed, pn, err)
-				}
-			}
-			if err := CheckRun(run); err != nil {
-				return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-			}
-			if fam.tail {
-				if err := checkTailLatency(run); err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-				}
-			}
-			if ktr != nil {
-				if err := checkKernelCorrelation(ktr, rec); err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-				}
-			}
-			if runs > 1 {
-				// Fingerprints are only ever compared between reruns, so
-				// skip the full-report serialization on wall-clock
-				// platforms where no rerun exists to compare against.
-				fp, err := Fingerprint(run)
-				if err != nil {
-					return fmt.Errorf("conformance: seed %d on %s: %w", seed, pn, err)
-				}
-				fingerprints = append(fingerprints, fp)
-			}
-			o := outcome{platform: pn, checksum: run.Instance.Checksum(), units: run.Instance.Units()}
-			if first == nil {
-				first = &o
-			} else if o.checksum != first.checksum || o.units != first.units {
-				return fmt.Errorf("conformance: seed %d on %s: rerun results differ: %016x/%d vs %016x/%d",
-					seed, pn, o.checksum, o.units, first.checksum, first.units)
-			}
-		}
-		for i := 1; i < len(fingerprints); i++ {
-			if fp := fingerprints[i]; fp != fingerprints[0] {
-				return fmt.Errorf("conformance: seed %d on %s: nondeterministic timing fingerprints: %016x vs %016x",
-					seed, pn, fp, fingerprints[0])
-			}
-		}
-		outcomes = append(outcomes, *first)
-	}
-	for _, o := range outcomes[1:] {
-		if o.checksum != outcomes[0].checksum || o.units != outcomes[0].units {
-			return fmt.Errorf("conformance: seed %d: %s disagrees with %s: checksum %016x/%d units vs %016x/%d",
-				seed, o.platform, outcomes[0].platform, o.checksum, o.units,
-				outcomes[0].checksum, outcomes[0].units)
-		}
-	}
-	return nil
-}
-
-// CheckRun verifies the per-run differential invariants on a completed
-// run: flow conservation against the workload's closed-form flow model
-// and monitor/observer agreement. It applies to any run whose Instance
-// implements platform.FlowModeler (fuzzwl, burstwl and replaywl runs);
-// RunMatrix sweeps reuse it cell by cell.
-func CheckRun(run *exp.Result) error {
-	fm, ok := run.Instance.(platform.FlowModeler)
-	if !ok {
-		return fmt.Errorf("conformance: run instance %T carries no flow model", run.Instance)
-	}
-	sh, _ := run.Machine.(sharder)
-	if err := checkFlowConservation(fm.FlowModel(), run.Reports, sh); err != nil {
-		return err
-	}
-	return checkMonitorAgreement(run)
-}
-
-// checkFlowConservation asserts the per-interface accounting identity on
-// the final reports against a workload's closed-form flow model: every
-// sender's per-interface middleware counter and total send ops must equal
-// the model's edge counts, and for every inbox the messages sent into it
-// must equal messages received from it plus the depth reported in-flight
-// at teardown — with the received count again matching the model.
-//
-// On sharded machines (sh non-nil) the identity is additionally accounted
-// per process: the sends into every inbox are summed per source shard so a
-// mismatch names the interface and the shard each half lives on, and every
-// cross-shard edge must show exactly one wire frame per producer send op —
-// the cross-process refinement of the same conservation law.
-func checkFlowConservation(edges []platform.FlowEdge, reports map[string]core.ObsReport, sh sharder) error {
-	if len(edges) == 0 {
-		return fmt.Errorf("flow: workload's flow model is empty")
-	}
-	comps := map[string]bool{}
-	wantSendOps := map[string]uint64{}
-	type inboxKey struct{ comp, iface string }
-	inboxModel := map[inboxKey]uint64{}
-	inboxEdges := map[inboxKey][]platform.FlowEdge{}
-	for _, e := range edges {
-		comps[e.From], comps[e.To] = true, true
-		wantSendOps[e.From] += e.Ops
-		k := inboxKey{e.To, e.In}
-		inboxModel[k] += e.Ops
-		inboxEdges[k] = append(inboxEdges[k], e)
-	}
-	names := make([]string, 0, len(comps))
-	for name := range comps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rep, ok := reports[name]
-		if !ok {
-			return fmt.Errorf("flow: no report for %s", name)
-		}
-		if rep.Middleware == nil || rep.App == nil {
-			return fmt.Errorf("flow: %s report misses middleware/application sections", name)
-		}
-		if rep.App.SendOps != wantSendOps[name] {
-			return fmt.Errorf("flow: %s sent %d ops, model says %d", name, rep.App.SendOps, wantSendOps[name])
-		}
-	}
-	for _, e := range edges {
-		ops := reports[e.From].Middleware.Send[e.Iface].Ops
-		if ops != e.Ops {
-			return fmt.Errorf("flow: %s.%s carried %d sends, model says %d", e.From, e.Iface, ops, e.Ops)
-		}
-		if sh == nil {
-			continue
-		}
-		// Cross-shard edges carry one wire frame per send op, counted
-		// by the coordinator relay; same-shard edges report !remote.
-		if frames, remote := sh.WireFrames(e.From, e.Iface); remote && frames != ops {
-			return fmt.Errorf("flow: %s.%s (shard %d -> %s on shard %d): %d wire frames != %d send ops",
-				e.From, e.Iface, sh.ShardOf(e.From), e.To, sh.ShardOf(e.To), frames, ops)
-		}
-	}
-	inboxes := make([]inboxKey, 0, len(inboxModel))
-	for k := range inboxModel {
-		inboxes = append(inboxes, k)
-	}
-	sort.Slice(inboxes, func(i, j int) bool {
-		if inboxes[i].comp != inboxes[j].comp {
-			return inboxes[i].comp < inboxes[j].comp
-		}
-		return inboxes[i].iface < inboxes[j].iface
-	})
-	for _, k := range inboxes {
-		rep := reports[k.comp]
-		// Conservation on the inbox: sends in == receives out + in-flight.
-		// The per-shard breakdown survives to the error message on sharded
-		// runs, so a cross-process mismatch names the producing shards.
-		var sentInto uint64
-		perShard := map[int]uint64{}
-		for _, e := range inboxEdges[k] {
-			ops := reports[e.From].Middleware.Send[e.Iface].Ops
-			sentInto += ops
-			if sh != nil {
-				perShard[sh.ShardOf(e.From)] += ops
-			}
-		}
-		depth := -1
-		for _, ifc := range rep.App.Interfaces {
-			if ifc.Name == k.iface && ifc.Type == "provided" {
-				depth = ifc.Depth
-			}
-		}
-		if depth < 0 {
-			return fmt.Errorf("flow: %s listing misses the provided inbox %s", k.comp, k.iface)
-		}
-		recv := rep.Middleware.Recv[k.iface].Ops
-		if sentInto != recv+uint64(depth) {
-			if sh != nil {
-				return fmt.Errorf("flow: %s inbox %s (shard %d): %d sent in != %d received + %d in flight; sends by source shard: %s",
-					k.comp, k.iface, sh.ShardOf(k.comp), sentInto, recv, depth, formatShardOps(perShard))
-			}
-			return fmt.Errorf("flow: %s inbox %s: %d sent in != %d received + %d in flight",
-				k.comp, k.iface, sentInto, recv, depth)
-		}
-		if recv != inboxModel[k] {
-			return fmt.Errorf("flow: %s received %d on %s, model says %d", k.comp, recv, k.iface, inboxModel[k])
-		}
-	}
-	return nil
-}
-
-// formatShardOps renders a per-shard op-count map in shard order, for the
-// sharded flow-conservation failure message.
-func formatShardOps(perShard map[int]uint64) string {
-	shards := make([]int, 0, len(perShard))
-	for s := range perShard {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	var b strings.Builder
-	for i, s := range shards {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "shard %d: %d", s, perShard[s])
-	}
-	return b.String()
-}
-
-// checkMonitorAgreement asserts that the streaming monitor's windowed view
-// of the run is consistent with the final pull-model observer report: the
-// monitor is a sampled prefix of the truth, so its cumulative counters can
-// never exceed the final ones, its merged window deltas must reproduce its
-// cumulative totals, and every accepted sample must be accounted for in a
-// window.
-func checkMonitorAgreement(run *exp.Result) error {
-	mon := run.Monitor
-	if mon == nil {
-		return fmt.Errorf("monitor: differential run carried no monitor")
-	}
-	var windowed int
-	for _, w := range mon.Windows() {
-		windowed += w.Samples
-	}
-	if accepted := mon.Samples(); uint64(windowed) != accepted {
-		return fmt.Errorf("monitor: %d samples accepted but %d aggregated into windows",
-			accepted, windowed)
-	}
-	for _, t := range mon.Totals() {
-		rep, ok := run.Reports[t.Component]
-		if !ok {
-			return fmt.Errorf("monitor: sampled unknown component %q", t.Component)
-		}
-		if t.SendOps > rep.App.SendOps || t.RecvOps > rep.App.RecvOps {
-			return fmt.Errorf("monitor: %s sampled counters %d/%d exceed final report %d/%d",
-				t.Component, t.SendOps, t.RecvOps, rep.App.SendOps, rep.App.RecvOps)
-		}
-		if t.DeltaSendOps != t.SendOps || t.DeltaRecvOps != t.RecvOps {
-			return fmt.Errorf("monitor: %s window deltas %d/%d do not reproduce cumulative totals %d/%d",
-				t.Component, t.DeltaSendOps, t.DeltaRecvOps, t.SendOps, t.RecvOps)
-		}
-	}
-	return nil
-}
-
-// latencyHorizonUS is the minimum makespan above which a deterministic
-// platform's monitor is required to have landed send-latency samples: one
-// full aggregation window of the differential monitor config. Shorter
-// runs can legitimately finish between sampler ticks.
-const latencyHorizonUS = 2000
-
-// checkTailLatency asserts the tail-latency invariants a latency-bearing
-// family's runs must satisfy, evaluated through the monitor windows: the
-// merged send-latency histograms must report monotonic p50 <= p95 <= p99
-// percentiles bounded by the run's makespan, and on deterministic
-// platforms any run long enough to span an aggregation window must have
-// produced latency samples at all — an empty histogram there means the
-// monitor stopped seeing the send path.
-func checkTailLatency(run *exp.Result) error {
-	mon := run.Monitor
-	if mon == nil {
-		return fmt.Errorf("latency: differential run carried no monitor")
-	}
-	var lat monitor.Hist
-	for _, w := range mon.Windows() {
-		lat.Merge(&w.LatencyHist)
-	}
-	if lat.Total == 0 {
-		if run.Platform.Deterministic() && run.MakespanUS >= latencyHorizonUS {
-			return fmt.Errorf("latency: no send-latency samples landed in any monitor window (makespan %dµs)", run.MakespanUS)
-		}
-		return nil // wall-clock samplers may legally miss short runs
-	}
-	p50, p95, p99 := lat.Quantile(0.50), lat.Quantile(0.95), lat.Quantile(0.99)
-	if p50 > p95 || p95 > p99 {
-		return fmt.Errorf("latency: percentiles not monotonic: p50=%dµs p95=%dµs p99=%dµs", p50, p95, p99)
-	}
-	if p99 > lat.Max {
-		return fmt.Errorf("latency: p99 %dµs exceeds the observed high-water mark %dµs", p99, lat.Max)
-	}
-	if run.MakespanUS > 0 && p99 > run.MakespanUS {
-		return fmt.Errorf("latency: p99 %dµs exceeds the run's makespan %dµs", p99, run.MakespanUS)
-	}
-	return nil
-}
-
-// checkKernelCorrelation joins the kernel-level copy trace with the EMBera
-// send trace of the same execution and requires a complete two-way mapping:
-// every kernel copy explained by an application send and vice versa.
-func checkKernelCorrelation(ktr *kptrace.Tracer, rec *trace.Recorder) error {
-	if _, dropped := rec.Stats(); dropped > 0 {
-		return fmt.Errorf("correlate: event recorder overflowed (%d dropped); enlarge traceCapacity", dropped)
-	}
-	res := correlate.Kernel(ktr.Events(), rec.Events())
-	if len(res.OrphanKernel) > 0 {
-		return fmt.Errorf("correlate: %d kernel copies have no application-level explanation (coverage %.3f)",
-			len(res.OrphanKernel), res.Coverage())
-	}
-	if len(res.OrphanSends) > 0 {
-		return fmt.Errorf("correlate: %d application sends produced no kernel copy", len(res.OrphanSends))
-	}
-	return nil
-}
-
-// SweepSeeds is the soak mode behind `embera-bench -exp FUZZ -seeds N`: it
-// fans the seed range [start, start+n) × every requested platform out as
-// one concurrent exp.RunMatrix sweep (each seed is one generated workload
-// name, each cell an isolated machine), then replays the differential
-// checks per cell and the cross-platform comparisons per seed. The first
-// failing seed — lowest seed, platform-name order within a seed — is
-// returned as an error ending with its one-line repro command. It returns
-// the number of cells executed.
-func SweepSeeds(platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return SweepSeedsCtx(context.Background(), platformNames, start, n, opts)
-}
-
-// SweepSeedsCtx is SweepSeeds with cooperative cancellation: the context
-// is checked between chunks, so an interrupted soak finishes the chunk in
-// flight (no half-verified seeds) and returns ctx.Err() with the cell
-// count so far. Callers distinguish a clean interrupt (context.Canceled
-// after Ctrl-C) from a real differential failure.
-func SweepSeedsCtx(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(ctx, platformNames, start, n, opts, false, randFamily)
-}
-
-// SweepSeedsBurst is the burst-family soak behind `embera-bench -exp BURST
-// -seeds N`: the same concurrent RunMatrix sweep and per-cell differential
-// checks as SweepSeeds, over "burst:<seed>" cells, plus the tail-latency
-// assertions evaluated through each cell's monitor windows. Failures carry
-// the "embera-bench -exp BURST -seed <n>" repro line.
-func SweepSeedsBurst(platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return SweepSeedsBurstCtx(context.Background(), platformNames, start, n, opts)
-}
-
-// SweepSeedsBurstCtx is SweepSeedsBurst with cooperative cancellation,
-// mirroring SweepSeedsCtx.
-func SweepSeedsBurstCtx(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(ctx, platformNames, start, n, opts, false, burstFamily)
-}
-
-// SweepSeedsMigrated is the migrated twin of SweepSeeds: every cell runs
-// with the fuzzed migration scheduler attached, so the soak asserts that
-// checksums, flow conservation and monitor agreement survive a different
-// random migrate/reconnect schedule in every generated workload. Failures
-// carry the "embera-bench -exp CTL -seed <n>" repro line.
-func SweepSeedsMigrated(platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(context.Background(), platformNames, start, n, opts, true, ctlFamily)
-}
-
-// SweepSeedsMigratedCtx is SweepSeedsMigrated with cooperative
-// cancellation, mirroring SweepSeedsCtx.
-func SweepSeedsMigratedCtx(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options) (int, error) {
-	return sweepSeeds(ctx, platformNames, start, n, opts, true, ctlFamily)
-}
-
-func sweepSeeds(ctx context.Context, platformNames []string, start int64, n int, opts platform.Options, migrate bool, fam family) (int, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("conformance: sweep needs a positive seed count, got %d", n)
-	}
-	if platformNames == nil {
-		platformNames = platform.Names()
-	}
-	const chunk = 16 // seeds per RunMatrix call: bounds in-flight machines
-	cells := 0
-	for lo := start; lo < start+int64(n); lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return cells, err
-		}
-		hi := lo + chunk
-		if max := start + int64(n); hi > max {
-			hi = max
-		}
-		names := make([]string, 0, hi-lo)
-		for s := lo; s < hi; s++ {
-			names = append(names, fam.name(s))
-		}
-		eopts := exp.Options{Monitor: diffMonitorConfig(), Options: opts}
-		// The migrated sweep's Customize hook is shared across the chunk's
-		// concurrent cells, so the per-cell schedule results are collected
-		// under a lock, keyed by the cell's own assembly.
-		var schedMu sync.Mutex
-		scheds := map[*core.App]*ctl.ScheduleResult{}
-		if migrate {
-			eopts.Customize = func(a *core.App, obs *core.Observer) {
-				res := ctl.AttachMigrations(a, ctl.ScheduleFor(a, migrationPoints))
-				schedMu.Lock()
-				scheds[a] = res
-				schedMu.Unlock()
-			}
-		}
-		results, err := exp.RunMatrix(platformNames, names, eopts)
-		if err != nil {
-			return cells, err
-		}
-		cells += len(results)
-		bySeed := map[string][]exp.MatrixResult{}
-		for _, c := range results {
-			bySeed[c.Workload] = append(bySeed[c.Workload], c)
-		}
-		for s := lo; s < hi; s++ {
-			if err := checkSweepSeed(bySeed[fam.name(s)], scheds, fam.tail); err != nil {
-				return cells, fmt.Errorf("%w\nrepro: %s", err, fam.repro(s))
-			}
-		}
-	}
-	return cells, nil
-}
-
-// checkSweepSeed verifies one seed's row of a sweep: every cell ran clean,
-// any attached migration schedule applied without an unexpected failure,
-// per-cell differential invariants hold, and results agree across
-// platforms.
-func checkSweepSeed(row []exp.MatrixResult, scheds map[*core.App]*ctl.ScheduleResult, tail bool) error {
-	if len(row) == 0 {
-		return fmt.Errorf("conformance: sweep produced no cells for this seed")
-	}
-	for _, c := range row {
-		if c.Err != nil {
-			return fmt.Errorf("conformance: %s × %s: %w", c.Platform, c.Workload, c.Err)
-		}
-		if sched := scheds[c.Result.App]; sched != nil {
-			if err := sched.Err(); err != nil {
-				return fmt.Errorf("conformance: %s × %s: migration schedule: %w", c.Platform, c.Workload, err)
-			}
-		}
-		if err := CheckRun(c.Result); err != nil {
-			return fmt.Errorf("conformance: %s × %s: %w", c.Platform, c.Workload, err)
-		}
-		if tail {
-			if err := checkTailLatency(c.Result); err != nil {
-				return fmt.Errorf("conformance: %s × %s: %w", c.Platform, c.Workload, err)
-			}
-		}
-	}
-	for _, c := range row[1:] {
-		ref := row[0]
-		if c.Result.Instance.Checksum() != ref.Result.Instance.Checksum() ||
-			c.Result.Instance.Units() != ref.Result.Instance.Units() {
-			return fmt.Errorf("conformance: %s: %s result %016x/%d disagrees with %s %016x/%d",
-				c.Workload, c.Platform, c.Result.Instance.Checksum(), c.Result.Instance.Units(),
-				ref.Platform, ref.Result.Instance.Checksum(), ref.Result.Instance.Units())
-		}
-	}
-	return nil
-}
+// traceCapacity bounds the per-run event recorder, which is allocated
+// whole for every smp run of a sweep. Generated cells record a few
+// thousand events (at most 4435 over rand seeds 0-255 and burst seeds
+// 0-63); the engine verifies nothing was dropped before correlating, so
+// an undersized buffer is an explicit failure rather than a silent orphan
+// source.
+const traceCapacity = 1 << 15

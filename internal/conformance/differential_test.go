@@ -1,72 +1,94 @@
 package conformance_test
 
 import (
+	"context"
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"embera/internal/conformance"
 	"embera/internal/exp"
-	"embera/internal/fuzzwl"
 	"embera/internal/platform"
 )
 
-// differentialSeeds is the per-run sweep width of the checked-in test: 64
-// generated topologies, each executed on every registered platform (twice
-// on the deterministic ones). The nightly soak re-runs the same engine over
-// a much larger range through `embera-bench -exp FUZZ`.
-const differentialSeeds = 64
+// failingSeed extracts the seed a sweep failure names.
+var failingSeed = regexp.MustCompile(`^conformance: seed (-?\d+): `)
 
-// TestDifferentialConformance is the acceptance battery: every seed runs
-// across all registered platforms under the full differential engine —
-// checksum equality everywhere, bit-identical timing fingerprints on
-// Deterministic platforms, per-interface flow conservation, monitor/observer
-// agreement, and complete kernel-copy correlation on simulated Linux. A
-// failure message always ends with the one-line repro command.
-func TestDifferentialConformance(t *testing.T) {
+// sweepEachSeed runs spec's seeds [Start, Start+N) as parallel subtests
+// named after the registry workload ("rand:7"), each a one-seed Sweep over
+// every registered platform. Every cell runs the full per-cell battery —
+// checksum equality everywhere, bit-identical rerun fingerprints on
+// Deterministic platforms, per-interface flow conservation, per-component
+// postconditions, monitor/observer agreement, the tail-latency battery,
+// and complete kernel-copy correlation on simulated Linux. A failure must
+// name its seed and end with the one-line repro rendered from the Spec.
+func sweepEachSeed(t *testing.T, spec conformance.Spec) {
 	if len(platform.Names()) < 3 {
 		t.Fatalf("registered platforms = %v, want at least smp, sti7200, native", platform.Names())
 	}
-	for seed := int64(0); seed < differentialSeeds; seed++ {
-		seed := seed
-		t.Run(fuzzwl.Name(seed), func(t *testing.T) {
+	for seed := spec.Start; seed < spec.Start+int64(spec.N); seed++ {
+		one := spec
+		one.Start, one.N = seed, 1
+		t.Run(fmt.Sprintf("%s:%d", spec.Family, seed), func(t *testing.T) {
 			t.Parallel()
-			if err := conformance.Differential(seed); err != nil {
-				if !strings.Contains(err.Error(), fuzzwl.ReproCommand(seed)) {
-					t.Errorf("failure lacks its repro command: %v", err)
+			cells, err := conformance.Sweep(context.Background(), one)
+			if err != nil {
+				m := failingSeed.FindStringSubmatch(err.Error())
+				if m == nil {
+					t.Fatalf("failure does not name its seed: %v", err)
 				}
-				t.Error(err)
+				if got, _ := strconv.ParseInt(m[1], 10, 64); got != seed {
+					t.Errorf("failure names seed %d, want %d", got, seed)
+				}
+				repro := fmt.Sprintf("\nrepro: embera-bench -exp DIFF -family %s -seed %d -seeds 1", spec.Family, seed)
+				if spec.Migrate {
+					repro += " -migrate"
+				}
+				if !strings.HasSuffix(err.Error(), repro) {
+					t.Errorf("failure does not end with its repro line %q", repro)
+				}
+				t.Fatal(err)
+			}
+			if want := len(platform.Names()); cells != want {
+				t.Errorf("sweep ran %d cells, want %d", cells, want)
 			}
 		})
 	}
+}
+
+// TestDifferentialConformance is the acceptance battery for generated
+// topologies: the same engine the nightly soak and `embera-bench -exp DIFF`
+// run, one subtest per seed.
+func TestDifferentialConformance(t *testing.T) {
+	sweepEachSeed(t, conformance.Spec{Family: "rand", N: 64})
 }
 
 // TestDifferentialConformanceMigrated is the reconfiguration acceptance
-// battery: the same 64 seeds × platforms, each cell running under a seeded
-// schedule of same-target migrate/reconnect points injected while the
-// workload flows. Checksums, rerun fingerprints, flow conservation and
-// monitor agreement must survive any such schedule; failures end with the
-// "-exp CTL" repro line.
+// battery: the same seeds, each cell running under a seeded schedule of
+// same-target migrate/reconnect points injected while the workload flows.
 func TestDifferentialConformanceMigrated(t *testing.T) {
-	for seed := int64(0); seed < differentialSeeds; seed++ {
-		seed := seed
-		t.Run(fuzzwl.Name(seed), func(t *testing.T) {
-			t.Parallel()
-			if err := conformance.DifferentialMigrated(seed); err != nil {
-				if !strings.Contains(err.Error(), "embera-bench -exp CTL -seed") {
-					t.Errorf("failure lacks its repro command: %v", err)
-				}
-				t.Error(err)
-			}
-		})
-	}
+	sweepEachSeed(t, conformance.Spec{Family: "rand", Migrate: true, N: 64})
 }
 
-// TestDifferentialSweepSoak exercises the concurrent RunMatrix-based soak
-// path embera-bench uses: one matrix call per seed chunk, platforms × seeds
-// as isolated cells.
-func TestDifferentialSweepSoak(t *testing.T) {
-	const seeds = 24
-	cells, err := conformance.SweepSeeds(nil, 100, seeds, platform.Options{})
+// TestDifferentialBurstConformance is the burst-family acceptance battery:
+// open-loop arrivals whose tail latency the battery bounds on every cell.
+func TestDifferentialBurstConformance(t *testing.T) {
+	sweepEachSeed(t, conformance.Spec{Family: "burst", N: 16})
+}
+
+// TestDifferentialBurstConformanceMigrated runs the burst family under the
+// migration scheduler: Migrate is independent of Family.
+func TestDifferentialBurstConformanceMigrated(t *testing.T) {
+	sweepEachSeed(t, conformance.Spec{Family: "burst", Migrate: true, N: 16})
+}
+
+// TestSweepChunksSeeds drives one multi-seed Sweep across a chunk boundary
+// and checks every cell of every seed ran.
+func TestSweepChunksSeeds(t *testing.T) {
+	const seeds = 6
+	cells, err := conformance.Sweep(context.Background(), conformance.Spec{Family: "rand", Start: 100, N: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +97,26 @@ func TestDifferentialSweepSoak(t *testing.T) {
 	}
 }
 
-// TestDifferentialSweepSoakMigrated runs the migrated soak path behind
-// `embera-bench -exp CTL`: concurrent matrix cells, each with its own
-// random migration schedule attached through the shared Customize hook.
-func TestDifferentialSweepSoakMigrated(t *testing.T) {
-	const seeds = 24
-	cells, err := conformance.SweepSeedsMigrated(nil, 100, seeds, platform.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestSweepRejectsBadSpecs: a sweep over a typo is not a sweep. Unknown
+// families and platforms fail up front with the registry listing, a
+// non-positive seed count is refused, and a cancelled context runs nothing.
+func TestSweepRejectsBadSpecs(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range []conformance.Spec{
+		{Family: "nosuch", N: 1},
+		{Family: "rand", Platforms: []string{"vax"}, N: 1},
+	} {
+		if _, err := conformance.Sweep(ctx, spec); err == nil || !strings.Contains(err.Error(), "registered:") {
+			t.Errorf("%+v: got %v, want a registry listing", spec, err)
+		}
 	}
-	if want := seeds * len(platform.Names()); cells != want {
-		t.Errorf("migrated sweep ran %d cells, want %d", cells, want)
+	if _, err := conformance.Sweep(ctx, conformance.Spec{Family: "rand"}); err == nil {
+		t.Error("sweep accepted zero seeds")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if cells, err := conformance.Sweep(cancelled, conformance.Spec{Family: "rand", N: 4}); err != context.Canceled || cells != 0 {
+		t.Errorf("cancelled sweep: %d cells, %v", cells, err)
 	}
 }
 
@@ -101,5 +132,29 @@ func TestDifferentialRejectsMalformedSeedNames(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "registered:") {
 		t.Errorf("error lacks registry listing: %v", err)
+	}
+}
+
+// TestDifferentialRejectsMalformedBurstSpecs is the harness-side regression
+// for burst-family parsing: malformed specs travelling the same
+// exp.RunNamed path the sweep cells use must surface the uniform
+// registry-listing error (the one every binary turns into an exit-2 usage
+// failure), not panic mid-run.
+func TestDifferentialRejectsMalformedBurstSpecs(t *testing.T) {
+	for _, name := range []string{
+		"burst:rate=-1",
+		"burst:rate=0",
+		"burst:fanout=9,servers=2",
+		"burst:mode=sawtooth",
+		"burst:bogus=1",
+		"burst:-3",
+	} {
+		_, err := exp.RunNamed("smp", name, exp.Options{})
+		if err == nil {
+			t.Fatalf("malformed spec %q accepted", name)
+		}
+		if !strings.Contains(err.Error(), "registered:") {
+			t.Errorf("%q error lacks registry listing: %v", name, err)
+		}
 	}
 }

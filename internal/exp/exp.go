@@ -152,14 +152,26 @@ type Result struct {
 	MakespanUS int64
 }
 
-// Run executes workload w on platform p to completion and collects
-// observations through the in-application observer. It is the single
-// harness path: every binary, experiment, benchmark and conformance cell
-// funnels through here, on simulated and wall-clock platforms alike.
-func Run(p platform.Platform, w platform.Workload, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
+// assembly is a built and observed application that has not started yet:
+// what assemble hands back to Run and to a served generation.
+type assembly struct {
+	machine platform.Machine
+	app     *core.App
+	inst    platform.Instance
+	mon     *monitor.Monitor // nil when opts.Monitor asked for none
+	obs     *core.Observer
+}
+
+// assemble is the setup every run shares, batch and served alike: build
+// workload w on a fresh machine of p, then — in this order — hand sharding
+// machines the Distribute seam, attach the event sink, create and start
+// the monitor, pass it to opts.OnMonitor and to monitor-taking machines,
+// attach the observer, run opts.Customize and finally call publish (when
+// non-nil). The machine seams are found by interface assertion on
+// whatever p.New returned, never by platform type. On any error after the
+// monitor started, the monitor is stopped again: on wall-clock platforms
+// its drivers are real goroutines polling a run that will never quiesce.
+func assemble(p platform.Platform, w platform.Workload, opts Options, publish func(*assembly) error) (_ *assembly, err error) {
 	m, a := p.New(w.Name())
 	inst, err := w.Build(a, p, opts.Options)
 	if err != nil {
@@ -179,17 +191,12 @@ func Run(p platform.Platform, w platform.Workload, opts Options) (*Result, error
 	}
 	var mon *monitor.Monitor
 	if opts.Monitor != nil {
-		mon, err = monitor.New(a, *opts.Monitor)
-		if err != nil {
+		if mon, err = monitor.New(a, *opts.Monitor); err != nil {
 			return nil, err
 		}
 		if err := mon.Start(); err != nil {
 			return nil, err
 		}
-		// On wall-clock platforms the monitor's drivers are real
-		// goroutines polling a run that, on any error below, will never
-		// quiesce — tell them to wind down so a failed cell does not
-		// leak pollers for the life of the process.
 		defer func() {
 			if err != nil {
 				mon.Stop()
@@ -212,40 +219,65 @@ func Run(p platform.Platform, w platform.Workload, opts Options) (*Result, error
 	if opts.Customize != nil {
 		opts.Customize(a, obs)
 	}
-	if err = a.Start(); err != nil {
+	as := &assembly{machine: m, app: a, inst: inst, mon: mon, obs: obs}
+	if publish != nil {
+		if err := publish(as); err != nil {
+			return nil, err
+		}
+	}
+	return as, nil
+}
+
+// Run executes workload w on platform p to completion and collects
+// observations through the in-application observer. It is the single
+// harness path: every binary, experiment, benchmark and conformance cell
+// funnels through here, on simulated and wall-clock platforms alike.
+func Run(p platform.Platform, w platform.Workload, opts Options) (_ *Result, err error) {
+	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	r := &Result{Platform: p, Machine: m, Kernel: m.Kernel(), App: a, Instance: inst, Monitor: mon}
+	as, err := assemble(p, w, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	m, a := as.machine, as.app
+	if as.mon != nil {
+		// The remaining failure paths leave a run that will never
+		// quiesce: wind the monitor's drivers down with it.
+		defer func() {
+			if err != nil {
+				as.mon.Stop()
+			}
+		}()
+	}
+	if err := a.Start(); err != nil {
+		return nil, err
+	}
+	r := &Result{Platform: p, Machine: m, Kernel: m.Kernel(), App: a, Instance: as.inst, Monitor: as.mon}
 	var qErr error
 	a.SpawnDriver("exp-driver", func(f core.Flow) {
 		a.AwaitQuiescence(f)
 		r.MakespanUS = m.NowUS()
-		r.Reports, qErr = obs.QueryAll(f, core.LevelAll)
+		r.Reports, qErr = as.obs.QueryAll(f, core.LevelAll)
 	})
 	horizonUS := int64(horizon) / int64(sim.Microsecond)
 	if !p.Deterministic() {
 		horizonUS = wallHorizonUS
 	}
-	// The remaining failure paths assign the outer err so the deferred
-	// monitor Stop above sees them.
-	if err = m.Run(horizonUS); err != nil {
+	if err := m.Run(horizonUS); err != nil {
 		return nil, err
 	}
 	if !a.Done() {
-		err = fmt.Errorf("exp: application did not finish before the horizon")
-		return nil, err
+		return nil, fmt.Errorf("exp: application did not finish before the horizon")
 	}
 	if qErr != nil {
-		err = qErr
-		return nil, err
+		return nil, qErr
 	}
 	if r.Reports == nil {
-		err = fmt.Errorf("exp: observer queries never ran")
-		return nil, err
+		return nil, fmt.Errorf("exp: observer queries never ran")
 	}
-	if cerr := inst.Check(); cerr != nil {
-		err = fmt.Errorf("exp: workload self-check: %w", cerr)
-		return nil, err
+	if cerr := as.inst.Check(); cerr != nil {
+		return nil, fmt.Errorf("exp: workload self-check: %w", cerr)
 	}
 	return r, nil
 }

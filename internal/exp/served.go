@@ -284,48 +284,56 @@ func (sr *ServedRun) runGeneration() (err error) {
 	}
 	sr.mu.Unlock()
 
-	m, a := sr.p.New(sr.w.Name())
+	opts := sr.base
+	opts.Monitor = &mcfg
 	if capture != nil {
-		defer func() { capture.ch <- CapturedGeneration{App: a, Err: err} }()
+		opts.EventSink = capture.sink
 	}
-	inst, err := sr.w.Build(a, sr.p, sr.base.Options)
-	if err != nil {
-		return err
-	}
-	// Sharding machines (cluster) take the distribution seam before the
-	// monitor exists, exactly as in exp.Run.
-	if d, ok := m.(distributor); ok {
-		if err := d.Distribute(sr.w.Name(), sr.base.Options, inst); err != nil {
-			return err
+	opts.OnMonitor = func(mon *monitor.Monitor) {
+		if paused {
+			mon.Pause()
+		}
+		if sr.base.OnMonitor != nil {
+			sr.base.OnMonitor(mon)
 		}
 	}
-	switch {
-	case capture != nil:
-		a.SetEventSink(capture.sink)
-	case sr.base.EventSink != nil:
-		a.SetEventSink(sr.base.EventSink)
+	var as *assembly
+	defer func() {
+		if capture != nil {
+			cg := CapturedGeneration{Err: err}
+			if as != nil {
+				cg.App = as.app
+			}
+			capture.ch <- cg
+		}
+	}()
+	as, err = assemble(sr.p, sr.w, opts, func(g *assembly) error {
+		// Check for a stop and publish under the one lock Stop and Close
+		// take. A stop that landed since the loop last checked aborts the
+		// generation here, handing an adopted capture back to the queue;
+		// otherwise the generation goes live and any later Stop finds it
+		// running. Checking anywhere else leaves a window in which Stop
+		// sees nothing running and the generation runs to completion.
+		sr.mu.Lock()
+		defer sr.mu.Unlock()
+		if sr.stopReq || sr.closed() {
+			if capture != nil {
+				sr.captures = append([]*captureReq{capture}, sr.captures...)
+				capture = nil
+			}
+			return errStopped
+		}
+		sr.machine, sr.app, sr.mon = g.machine, g.app, g.mon
+		sr.running = true
+		return nil
+	})
+	if err == errStopped {
+		return nil
 	}
-	mon, err := monitor.New(a, mcfg)
 	if err != nil {
 		return err
 	}
-	if err := mon.Start(); err != nil {
-		return err
-	}
-	if paused {
-		mon.Pause()
-	}
-	if sr.base.OnMonitor != nil {
-		sr.base.OnMonitor(mon)
-	}
-	if mt, ok := m.(monitorTaker); ok {
-		mt.TakeMonitor(mon, &mcfg)
-	}
-
-	sr.mu.Lock()
-	sr.machine, sr.app, sr.mon = m, a, mon
-	sr.running = true
-	sr.mu.Unlock()
+	m, a, mon := as.machine, as.app, as.mon
 
 	defer func() {
 		// Unpublish the generation, fold its pipeline accounting into the
@@ -345,14 +353,6 @@ func (sr *ServedRun) runGeneration() (err error) {
 		sr.sinkErr.Add(mon.SinkErrors())
 	}()
 
-	obs, err := a.AttachObserver()
-	if err != nil {
-		mon.Stop()
-		return err
-	}
-	if sr.base.Customize != nil {
-		sr.base.Customize(a, obs)
-	}
 	a.SpawnDriver("serve/control", func(f core.Flow) { sr.controlLoop(a, f) })
 	if err := a.Start(); err != nil {
 		mon.Stop()
@@ -371,18 +371,22 @@ func (sr *ServedRun) runGeneration() (err error) {
 		return fmt.Errorf("exp: generation did not finish before the horizon")
 	}
 	sr.lastEnd.Store(m.NowUS())
-	sr.units.Add(uint64(inst.Units()))
+	sr.units.Add(uint64(as.inst.Units()))
 	if sr.interrupted() {
 		// A stopped generation is cut short by design: its units count,
 		// its self-check is meaningless.
 		return nil
 	}
-	if cerr := inst.Check(); cerr != nil {
+	if cerr := as.inst.Check(); cerr != nil {
 		return fmt.Errorf("exp: workload self-check: %w", cerr)
 	}
 	sr.checks.Add(1)
 	return nil
 }
+
+// errStopped aborts a generation whose assembly was stopped or closed
+// before it went live.
+var errStopped = fmt.Errorf("exp: generation stopped before it started")
 
 // controlLoop is the per-generation control driver: it polls the op queue
 // on platform time and applies queued operations from driver-flow context,
@@ -431,15 +435,20 @@ func (sr *ServedRun) stopRequested() bool {
 	return sr.stopReq
 }
 
-// interrupted reports whether the current generation was asked to die
-// (assembly stop or full shutdown).
-func (sr *ServedRun) interrupted() bool {
+// closed reports whether Close has been called.
+func (sr *ServedRun) closed() bool {
 	select {
 	case <-sr.quit:
 		return true
 	default:
+		return false
 	}
-	return sr.stopRequested()
+}
+
+// interrupted reports whether the current generation was asked to die
+// (assembly stop or full shutdown).
+func (sr *ServedRun) interrupted() bool {
+	return sr.closed() || sr.stopRequested()
 }
 
 // terminateAll is the stop operation's body: terminate every component so

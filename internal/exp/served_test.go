@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -277,4 +278,50 @@ func TestServedTerminateComponent(t *testing.T) {
 	}
 	// With the producer dead the generation drains and the loop relaunches.
 	waitFor(t, "next generation after termination", func() bool { return sr.Generations() > gen })
+}
+
+// TestServedCloseAtGenerationBoundaries lands Close right at the start of a
+// generation — after the loop's stop check, around the moment the
+// generation goes live — at staggered offsets. Whichever side of the
+// publish the Close lands on, it must end a generation that would
+// otherwise pace messages for minutes; a lost Close hangs past the
+// per-iteration deadline.
+func TestServedCloseAtGenerationBoundaries(t *testing.T) {
+	p := platform.MustGet("native")
+	for i := 0; i < 40; i++ {
+		sr, err := RunServed(p, &toyWorkload{msgs: 100_000}, ServedOptions{
+			Options: Options{Monitor: &monitor.Config{}},
+			Pace:    time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stuck := func(what string) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("iteration %d: %s\n%s", i, what, buf[:runtime.Stack(buf, true)])
+		}
+		// Generations increments as a generation begins assembling; poll
+		// finely so Close lands close to that boundary.
+		deadline := time.Now().Add(10 * time.Second)
+		for sr.Generations() == 0 {
+			if time.Now().After(deadline) {
+				stuck("no generation started within 10s")
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		time.Sleep(time.Duration(i%8) * 50 * time.Microsecond)
+		closed := make(chan struct{})
+		go func() {
+			sr.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			stuck("Close did not return within 10s of a generation start")
+		}
+		if s := sr.Stats(); s.Running {
+			t.Fatalf("iteration %d: generation still running after Close: %+v", i, s)
+		}
+	}
 }

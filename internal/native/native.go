@@ -132,7 +132,7 @@ func (b *Binding) Spawn(c *core.Component, run func(f core.Flow)) error {
 	go func() {
 		defer b.comps.Done()
 		defer func() {
-			d.endNS.Store(b.nowNS())
+			d.endNS.CompareAndSwap(0, b.nowNS())
 			if r := recover(); r != nil {
 				if _, isKill := r.(killedPanic); isKill {
 					return
@@ -231,7 +231,18 @@ func (b *Binding) osView(c *core.Component, nowNS int64) core.OSReport {
 	if start == 0 {
 		return rep // not spawned yet
 	}
-	if end := d.endNS.Load(); end != 0 {
+	end := d.endNS.Load()
+	if end == 0 && c.State() == core.StateDone {
+		// The core has finished the component, but its goroutine is still
+		// unwinding through the spawn wrapper. Final reports are taken in
+		// that window: the harness queries once quiescence is signalled,
+		// and a cluster worker snapshots its shard from a done hook that
+		// runs inside the flow. To every observer the task has exited, so
+		// fix its end time now and never report it running.
+		d.endNS.CompareAndSwap(0, b.nowNS())
+		end = d.endNS.Load()
+	}
+	if end != 0 {
 		rep.ExecTimeUS = (end - start) / int64(time.Microsecond)
 	} else {
 		rep.Running = true

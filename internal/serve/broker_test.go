@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"embera/internal/monitor"
 )
@@ -59,17 +60,36 @@ func TestBrokerSlowSubscriberContract(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 
-	for seq := uint64(1); seq <= total; seq++ {
-		b.Publish(event("a0", seq, component))
-		if seq%64 == 0 {
-			// Let the fast consumer drain: the contract under test is the
-			// stalled queue, not the fast reader's scheduling luck.
-			for fast.Enqueued()-received.Load() > queueCap/2 {
-				runtime.Gosched()
-			}
-		}
+	// Every blocking wait below has a deadline: a regression fails with a
+	// goroutine dump instead of hanging the package.
+	deadline := time.Now().Add(30 * time.Second)
+	stuck := func(what string) {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%s: fast subscriber received %d of %d events\n%s",
+			what, received.Load(), total, buf[:runtime.Stack(buf, true)])
 	}
-	wg.Wait()
+	for seq := uint64(1); seq <= total; seq++ {
+		// Let the fast consumer drain before every publish, so its backlog
+		// never reaches the queue capacity: the contract under test is the
+		// stalled queue, not the fast reader's scheduling luck.
+		for fast.Enqueued()-received.Load() >= queueCap {
+			if time.Now().After(deadline) {
+				stuck("publisher throttle")
+			}
+			runtime.Gosched()
+		}
+		b.Publish(event("a0", seq, component))
+	}
+	readerDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(readerDone)
+	}()
+	select {
+	case <-readerDone:
+	case <-time.After(time.Until(deadline)):
+		stuck("fast reader")
+	}
 
 	runtime.GC()
 	runtime.ReadMemStats(&m1)

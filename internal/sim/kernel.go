@@ -304,6 +304,28 @@ func (k *Kernel) RunUntil(limit Time) error {
 	return nil
 }
 
+// Shutdown ends the simulation for good. Every process still alive — after
+// a completed run, the daemon service flows parked on queues that will
+// never fill again — is killed and resumed until its goroutine has
+// unwound and exited, so nothing the processes close over stays reachable
+// through them. Processes spawned but never started are dropped, and
+// pending events are discarded. The clock and every process's final state
+// stay readable; the kernel must not be run again.
+func (k *Kernel) Shutdown() {
+	k.events = nil
+	for len(k.procs) > 0 {
+		for p := range k.procs {
+			if p.state == StateNew { // never started: no goroutine to unwind
+				delete(k.procs, p)
+				continue
+			}
+			p.killed = true
+			p.state = StateRunning
+			k.handoff(p)
+		}
+	}
+}
+
 // Pending reports the number of scheduled, not-yet-executed events.
 func (k *Kernel) Pending() int { return len(k.events) }
 

@@ -351,3 +351,35 @@ func TestEventRecyclingPreservesOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestShutdownUnwindsParkedDaemons: after a completed run, daemons parked
+// on a queue nobody will fill again still hold their goroutines. Shutdown
+// must unwind every one of them — running their deferred cleanup — drop a
+// process that never started, and leave the clock readable.
+func TestShutdownUnwindsParkedDaemons(t *testing.T) {
+	k := NewKernel()
+	q := NewQueue[int](k, "idle", 0)
+	exited := 0
+	for i := 0; i < 3; i++ {
+		p := k.Spawn("daemon", func(p *Proc) {
+			defer func() { exited++ }()
+			q.Get(p)
+		})
+		p.SetDaemon(true)
+	}
+	k.Spawn("worker", func(p *Proc) { p.Advance(5 * Microsecond) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.SpawnAt(Second, "never", func(p *Proc) { t.Error("unstarted process ran") })
+	if k.Live() != 4 {
+		t.Fatalf("live before shutdown = %d, want 3 parked daemons + 1 unstarted", k.Live())
+	}
+	k.Shutdown()
+	if exited != 3 || k.Live() != 0 || k.Pending() != 0 {
+		t.Fatalf("after shutdown: %d daemons unwound, live=%d pending=%d", exited, k.Live(), k.Pending())
+	}
+	if k.Now() != Time(5*Microsecond) {
+		t.Fatalf("clock after shutdown = %d", k.Now())
+	}
+}
