@@ -28,7 +28,8 @@
 //     once per shard, and cross-shard messages, monitor windows and
 //     final reports travel the length-prefixed frame protocol of
 //     internal/wire (zero-alloc little-endian encode for scalar
-//     payloads, gob fallback for structs, 64 MiB frame cap). The
+//     payloads and registered binary struct payloads, data frames
+//     relayed undecoded by the coordinator, 64 MiB frame cap). The
 //     coordinator ingests worker windows into its own monitor and
 //     merges workload partials, so one run's results look exactly like
 //     a single-process run. Deterministic() is false — workers run on

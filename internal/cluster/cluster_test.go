@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"syscall"
@@ -10,6 +11,7 @@ import (
 	"embera/internal/cluster"
 	"embera/internal/core"
 	"embera/internal/exp"
+	_ "embera/internal/mjpegapp"
 	"embera/internal/monitor"
 	"embera/internal/pipelineapp"
 	"embera/internal/platform"
@@ -21,6 +23,126 @@ import (
 func TestMain(m *testing.M) {
 	cluster.MaybeWorkerMain()
 	os.Exit(m.Run())
+}
+
+// opaquePayload is a struct no package registers with the wire codec.
+type opaquePayload struct{ N int }
+
+// opaqueWorkload sends one opaquePayload from a producer to a consumer on
+// the other shard of two. Registered so worker re-execs of this test binary
+// rebuild it.
+type opaqueWorkload struct{}
+
+func init() {
+	platform.RegisterWorkload("test-opaque-payload", func() platform.Workload { return opaqueWorkload{} })
+}
+
+func (opaqueWorkload) Name() string     { return "test-opaque-payload" }
+func (opaqueWorkload) Describe() string { return "one unregistered struct payload across shards" }
+
+func (opaqueWorkload) Build(a *core.App, _ platform.Platform, _ platform.Options) (platform.Instance, error) {
+	prod := a.MustNewComponent("Producer", func(ctx *core.Ctx) {
+		ctx.Send("out", opaquePayload{N: 1}, 64)
+	}).MustAddRequired("out")
+	name := "Consumer"
+	for i := 0; cluster.ShardOf(name, 2) == cluster.ShardOf(prod.Name(), 2); i++ {
+		name = fmt.Sprintf("Consumer%d", i)
+	}
+	cons := a.MustNewComponent(name, func(ctx *core.Ctx) {
+		for {
+			if _, ok := ctx.Receive("in"); !ok {
+				return
+			}
+		}
+	}).MustAddProvided("in", 1<<10)
+	a.MustConnect(prod, "out", cons, "in")
+	return opaqueInstance{}, nil
+}
+
+type opaqueInstance struct{}
+
+func (opaqueInstance) Units() int       { return 0 }
+func (opaqueInstance) Checksum() uint64 { return 0 }
+func (opaqueInstance) Check() error     { return nil }
+func (opaqueInstance) Summary() string  { return "" }
+
+// TestUnencodablePayloadFailsTheRun: a cross-shard send the wire codec
+// refuses is a run error that names the payload type, not a silently
+// vanished message.
+func TestUnencodablePayloadFailsTheRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	m, a := cluster.New("opaque", 2, 4)
+	w := opaqueWorkload{}
+	inst, err := w.Build(a, platform.MustGet("cluster"), platform.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Distribute(w.Name(), 0, 0, nil, inst); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	err = m.Run(60e6)
+	if err == nil {
+		t.Fatal("a run whose only message cannot be encoded succeeded")
+	}
+	if !strings.Contains(err.Error(), "cluster_test.opaquePayload") || !strings.Contains(err.Error(), "not registered") {
+		t.Errorf("run error does not name the unregistered payload type: %v", err)
+	}
+}
+
+// TestRelayedGroupsAccountExactly runs the MJPEG decoder sharded over two
+// workers, so block and pixel groups cross the coordinator's relay
+// undecoded: the frames must match the deterministic smp run's checksum,
+// nothing may be lost, and every cross-shard edge must count exactly one
+// relayed frame per send.
+func TestRelayedGroupsAccountExactly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	t.Setenv(cluster.WorkersEnv, "2")
+	w := platform.MustGetWorkload("mjpeg")
+	opts := exp.Options{Options: platform.Options{Scale: 6}}
+	ref, err := exp.Run(platform.MustGet("smp"), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := exp.Run(platform.MustGet("cluster"), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := run.Instance.Checksum(), ref.Instance.Checksum(); got != want {
+		t.Errorf("sharded checksum %016x, smp %016x", got, want)
+	}
+	sh := run.Machine.(interface {
+		WireFrames(from, iface string) (uint64, bool)
+		LostFrames() uint64
+	})
+	if n := sh.LostFrames(); n != 0 {
+		t.Errorf("clean run lost %d frames", n)
+	}
+	crossing := 0
+	for name, rep := range run.Reports {
+		if rep.Middleware == nil {
+			continue
+		}
+		for iface, st := range rep.Middleware.Send {
+			frames, remote := sh.WireFrames(name, iface)
+			if !remote {
+				continue
+			}
+			crossing++
+			if frames != st.Ops {
+				t.Errorf("%s.%s: %d relayed frames for %d sends", name, iface, frames, st.Ops)
+			}
+		}
+	}
+	if crossing == 0 {
+		t.Error("no decoder edge crosses shards; the relay was not exercised")
+	}
 }
 
 func TestShardOfDeterministicAndBounded(t *testing.T) {

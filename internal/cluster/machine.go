@@ -520,12 +520,14 @@ func (m *Machine) runWriter(l *workerLink) {
 }
 
 // runReader consumes one worker's inbound stream: data and edge-close
-// frames relay straight to the destination shard, windows ingest into the
-// coordinator monitor, report and life-cycle frames go to the orchestrator.
+// frames relay straight to the destination shard — data frames undecoded,
+// their payload checked only by the receiving worker — windows ingest into
+// the coordinator monitor, report and life-cycle frames go to the
+// orchestrator.
 func (m *Machine) runReader(l *workerLink, links []*workerLink, events chan<- event) {
 	for {
 		f := new(wire.Frame)
-		if err := l.conn.ReadFrame(f); err != nil {
+		if err := l.conn.ReadRelay(f); err != nil {
 			if !l.bye.Load() {
 				events <- event{kind: evDied, shard: l.shard,
 					err: fmt.Errorf("cluster: worker %d exited before goodbye: %v", l.shard, err)}

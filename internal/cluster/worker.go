@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -72,6 +74,9 @@ func MaybeWorkerMain() {
 type wireTransport struct {
 	wc   *wire.Conn
 	edge uint32
+	// refused reports a message the codec could not encode. Unlike a dead
+	// socket, that is a program error the run must fail with.
+	refused func(error)
 }
 
 func (t *wireTransport) Send(f core.Flow, m core.Message) bool {
@@ -79,7 +84,11 @@ func (t *wireTransport) Send(f core.Flow, m core.Message) bool {
 		Type: wire.TypeData, Edge: t.edge,
 		Bytes: int64(m.Bytes), From: m.From, Payload: m.Payload,
 	}
-	return t.wc.WriteFrame(&fr) == nil
+	err := t.wc.WriteFrame(&fr)
+	if errors.Is(err, wire.ErrEncode) {
+		t.refused(fmt.Errorf("edge %d from %s: %w", t.edge, m.From, err))
+	}
+	return err == nil
 }
 
 func (t *wireTransport) CloseProducer() {
@@ -149,6 +158,17 @@ func workerMain(cfgPath string) int {
 		}
 	}
 
+	// A message the codec refuses fails the whole run: the coordinator
+	// records the error frame as this shard's failure, and the local
+	// machine winds down.
+	var refuseOnce sync.Once
+	refused := func(err error) {
+		refuseOnce.Do(func() {
+			_ = wc.WriteFrame(&wire.Frame{Type: wire.TypeError, Name: err.Error()})
+			nm.Interrupt()
+		})
+	}
+
 	// Cross-shard wiring: transports carry local producers' sends out;
 	// per-edge injection queues carry remote producers' messages in.
 	edges := edgeTable(app)
@@ -158,7 +178,7 @@ func workerMain(cfgPath string) int {
 		dst := ShardOf(e.to.Name(), cfg.Workers)
 		switch {
 		case src == cfg.Shard && dst != cfg.Shard:
-			if err := app.BindTransport(e.from, e.fromIface, &wireTransport{wc: wc, edge: uint32(e.id)}); err != nil {
+			if err := app.BindTransport(e.from, e.fromIface, &wireTransport{wc: wc, edge: uint32(e.id), refused: refused}); err != nil {
 				return failWire(err)
 			}
 		case dst == cfg.Shard && src != cfg.Shard:
@@ -250,13 +270,20 @@ func workerMain(cfgPath string) int {
 // workerReader consumes the coordinator stream: remote data and producer
 // closes feed the injection queues, shard-done frames finish external
 // components, terminate/kill frames drive the local machine. A broken
-// connection (the coordinator died) interrupts the local run and unblocks
-// everything so the process exits instead of hanging.
+// connection (the coordinator died) or an undecodable frame interrupts the
+// local run and unblocks everything so the process exits instead of
+// hanging.
 func workerReader(wc *wire.Conn, app *core.App, nm *native.Machine,
 	comps []*core.Component, inQ map[int]*msgQueue, cfg workerConfig) {
 	for {
 		var f wire.Frame
 		if err := wc.ReadFrame(&f); err != nil {
+			if err != io.EOF {
+				// A relayed payload this shard cannot decode fails the
+				// run; on a broken socket the report goes nowhere.
+				_ = wc.WriteFrame(&wire.Frame{Type: wire.TypeError,
+					Name: fmt.Sprintf("shard %d: %v", cfg.Shard, err)})
+			}
 			nm.Interrupt()
 			for _, c := range comps {
 				app.FinishExternal(c)

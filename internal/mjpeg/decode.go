@@ -209,12 +209,18 @@ func (h *FrameHeader) parseSOF0(seg []byte) error {
 			return fmt.Errorf("mjpeg: quant selector %d out of range", c.Quant)
 		}
 		h.comps = append(h.comps, c)
-		if c.H > h.maxH {
-			h.maxH = c.H
-		}
-		if c.V > h.maxV {
-			h.maxV = c.V
-		}
+	}
+	h.layout()
+	return nil
+}
+
+// layout derives the MCU grid and each component's block geometry from the
+// frame size and the sampling factors, which must already be validated.
+func (h *FrameHeader) layout() {
+	h.maxH, h.maxV = 0, 0
+	for _, c := range h.comps {
+		h.maxH = max(h.maxH, c.H)
+		h.maxV = max(h.maxV, c.V)
 	}
 	h.mcusX = (h.Width + 8*h.maxH - 1) / (8 * h.maxH)
 	h.mcusY = (h.Height + 8*h.maxV - 1) / (8 * h.maxV)
@@ -222,7 +228,6 @@ func (h *FrameHeader) parseSOF0(seg []byte) error {
 		h.comps[i].blocksX = h.mcusX * h.comps[i].H
 		h.comps[i].blocksY = h.mcusY * h.comps[i].V
 	}
-	return nil
 }
 
 func parseDHT(seg []byte, dcSpec, acSpec *[4]*huffSpec) error {

@@ -1,6 +1,7 @@
 package native_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -186,10 +187,17 @@ func TestTerminateUnblocksBlockedPrimitives(t *testing.T) {
 // genuinely run in parallel.
 func TestObserverQueriesLiveApplication(t *testing.T) {
 	m, a := platform.MustGet("native").New("live-obs")
+	// The producer holds after its first send until the prober has queried,
+	// so the mid-run query sees a live count that cannot be the final one.
+	firstSent, queried := make(chan struct{}), make(chan struct{})
 	prod := a.MustNewComponent("prod", func(ctx *core.Ctx) {
 		for i := 0; i < 50; i++ {
 			ctx.SleepUS(200)
 			ctx.Send("out", i, 256)
+			if i == 0 {
+				close(firstSent)
+				<-queried
+			}
 		}
 	}).MustAddRequired("out")
 	cons := a.MustNewComponent("cons", func(ctx *core.Ctx) {
@@ -210,8 +218,15 @@ func TestObserverQueriesLiveApplication(t *testing.T) {
 	var midSends uint64
 	var qErr error
 	a.SpawnDriver("prober", func(f core.Flow) {
-		f.SleepUS(2000) // mid-run: the producer is still pacing itself
+		select {
+		case <-firstSent:
+		case <-time.After(10 * time.Second):
+			close(queried)
+			qErr = errors.New("producer never sent")
+			return
+		}
 		reports, err := obs.QueryAll(f, core.LevelAll)
+		close(queried)
 		if err != nil {
 			qErr = err
 			return
@@ -225,8 +240,8 @@ func TestObserverQueriesLiveApplication(t *testing.T) {
 	if qErr != nil {
 		t.Fatal(qErr)
 	}
-	if midSends == 0 {
-		t.Error("mid-run query saw no sends (observer not live?)")
+	if midSends == 0 || midSends >= 50 {
+		t.Errorf("mid-run query saw %d sends, want a live count between 1 and 49", midSends)
 	}
 	final := prod.Snapshot(core.LevelAll)
 	if final.App.SendOps != 50 {

@@ -56,7 +56,14 @@ func (c *Conn) WriteFrame(f *Frame) error {
 
 // ReadFrame reads and decodes the next frame into f. Only one goroutine may
 // read. io.EOF is returned unwrapped on a clean end of stream.
-func (c *Conn) ReadFrame(f *Frame) error {
+func (c *Conn) ReadFrame(f *Frame) error { return c.read(f, DecodeFrame) }
+
+// ReadRelay is ReadFrame for a relay: a data frame decodes only its type
+// and edge and keeps its body in f.Raw, which WriteFrame forwards
+// unchanged; every other frame type decodes in full.
+func (c *Conn) ReadRelay(f *Frame) error { return c.read(f, decodeRelay) }
+
+func (c *Conn) read(f *Frame, decode func([]byte, *Frame) error) error {
 	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
 		if err == io.EOF {
 			return io.EOF
@@ -74,7 +81,7 @@ func (c *Conn) ReadFrame(f *Frame) error {
 	if _, err := io.ReadFull(c.rw, body); err != nil {
 		return fmt.Errorf("wire: read frame body: %w", err)
 	}
-	if err := DecodeFrame(body, f); err != nil {
+	if err := decode(body, f); err != nil {
 		return err
 	}
 	c.framesIn.Add(1)

@@ -5,7 +5,8 @@
 // merge. The codec follows the trace codec's discipline — manual
 // little-endian encoding into a caller-supplied buffer, fixed scratch
 // bounds-checked decoding — so the per-message encode path allocates
-// nothing for the scalar payloads the workloads actually send.
+// nothing for the scalar payloads the workloads actually send, and struct
+// payloads travel as explicit binary encodings of registered types.
 //
 // Frame layout: a uint32 little-endian body length, then the body; the
 // body's first byte is the frame type. Bodies longer than MaxFrameBytes are
@@ -14,12 +15,14 @@
 package wire
 
 import (
-	"bytes"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"sync"
 
 	"embera/internal/core"
 	"embera/internal/monitor"
@@ -46,8 +49,8 @@ const MaxFrameBytes = 64 << 20
 
 // Payload kinds for TypeData. The scalar kinds cover every payload the
 // bundled workloads send on their hot paths and encode without allocating;
-// kindGob is the fallback for struct payloads (register concrete types with
-// encoding/gob in the package that defines them).
+// kindStruct carries a type registered with Register as its name plus its
+// own binary encoding.
 const (
 	kindNil = byte(iota)
 	kindBool
@@ -57,8 +60,18 @@ const (
 	kindFloat64
 	kindString
 	kindBytes
-	kindGob
+	kindStruct
 )
+
+// ErrEncode marks an error from a frame the encoder refused (an
+// unregistered payload type, a payload whose own encoding failed, an
+// oversized body), as opposed to a failed write: such a frame never reaches
+// the stream, and retrying it cannot succeed.
+var ErrEncode = errors.New("wire: cannot encode frame")
+
+func encodeErr(format string, a ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrEncode}, a...)...)
+}
 
 // Frame is the decoded form of every frame type: a tagged union keyed on
 // Type with only the fields that type uses populated.
@@ -72,6 +85,12 @@ type Frame struct {
 	Bytes   int64 // modelled message size
 	From    string
 	Payload any
+
+	// Raw is a TypeData body (type byte onward) left undecoded by
+	// Conn.ReadRelay. AppendFrame writes a non-nil Raw verbatim and ignores
+	// every other field, so a relay forwards data frames without touching
+	// their payload.
+	Raw []byte
 
 	// Reports fields: the workload partials and final per-component
 	// observation reports of one shard.
@@ -87,12 +106,33 @@ type Frame struct {
 }
 
 // AppendFrame encodes f, appending the length-prefixed frame to buf and
-// returning the extended slice. For TypeData with a scalar payload the
-// encode allocates nothing beyond buf growth — the same zero-alloc budget
-// as the trace codec's event encode.
+// returning the extended slice. For TypeData with a scalar payload, or a
+// registered struct payload whose AppendBinary fits buf, the encode
+// allocates nothing beyond buf growth — the same zero-alloc budget as the
+// trace codec's event encode. Every error wraps ErrEncode.
 func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length back-patched below
+	if f.Raw != nil {
+		if len(f.Raw) < relayHeadBytes || f.Raw[0] != TypeData {
+			return nil, encodeErr("raw body of %d bytes is not a data frame", len(f.Raw))
+		}
+		buf = append(buf, f.Raw...)
+	} else {
+		var err error
+		if buf, err = appendBody(buf, f); err != nil {
+			return nil, err
+		}
+	}
+	body := len(buf) - start - 4
+	if body > MaxFrameBytes {
+		return nil, encodeErr("frame body %d exceeds %d bytes", body, MaxFrameBytes)
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(body))
+	return buf, nil
+}
+
+func appendBody(buf []byte, f *Frame) ([]byte, error) {
 	buf = append(buf, f.Type)
 	var err error
 	switch f.Type {
@@ -120,7 +160,7 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, f.Checksum)
 		js, jerr := json.Marshal(f.Reports)
 		if jerr != nil {
-			return nil, fmt.Errorf("wire: encoding reports: %w", jerr)
+			return nil, encodeErr("reports: %w", jerr)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(js)))
 		buf = append(buf, js...)
@@ -129,13 +169,8 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	case TypeTerminate, TypeBye:
 		// type byte only
 	default:
-		return nil, fmt.Errorf("wire: unknown frame type %d", f.Type)
+		return nil, encodeErr("unknown frame type %d", f.Type)
 	}
-	body := len(buf) - start - 4
-	if body > MaxFrameBytes {
-		return nil, fmt.Errorf("wire: frame body %d exceeds %d bytes", body, MaxFrameBytes)
-	}
-	binary.LittleEndian.PutUint32(buf[start:], uint32(body))
 	return buf, nil
 }
 
@@ -195,6 +230,25 @@ func DecodeFrame(body []byte, f *Frame) error {
 	return nil
 }
 
+// relayHeadBytes is the prefix of a data frame body a relay reads: the type
+// byte and the edge.
+const relayHeadBytes = 1 + 4
+
+// decodeRelay decodes a frame body the way a relay needs it: a data frame
+// yields only its type and edge, with the body copied into Raw to forward
+// verbatim; every other frame type decodes in full. The payload of a relayed
+// frame is checked once, by the receiving end's DecodeFrame.
+func decodeRelay(body []byte, f *Frame) error {
+	if len(body) == 0 || body[0] != TypeData {
+		return DecodeFrame(body, f)
+	}
+	if len(body) < relayHeadBytes {
+		return fmt.Errorf("wire: truncated data frame of %d bytes", len(body))
+	}
+	*f = Frame{Type: TypeData, Edge: binary.LittleEndian.Uint32(body[1:]), Raw: append([]byte(nil), body...)}
+	return nil
+}
+
 func appendString(buf []byte, s string) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 	return append(buf, s...)
@@ -230,20 +284,61 @@ func appendPayload(buf []byte, p any) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
 		return append(buf, v...), nil
 	default:
-		// Struct payloads take the gob fallback; concrete types must be
-		// gob-registered by their defining package so both processes agree.
-		var gb bytes.Buffer
-		if err := gob.NewEncoder(&gb).Encode(&payloadBox{V: p}); err != nil {
-			return nil, fmt.Errorf("wire: gob payload %T: %w", p, err)
+		regMu.RLock()
+		name, ok := regNames[reflect.TypeOf(p)]
+		regMu.RUnlock()
+		if !ok {
+			return nil, encodeErr("payload type %T is not registered", p)
 		}
-		buf = append(buf, kindGob)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(gb.Len()))
-		return append(buf, gb.Bytes()...), nil
+		buf = append(buf, kindStruct)
+		buf = appendString(buf, name)
+		lenAt := len(buf)
+		buf = append(buf, 0, 0, 0, 0)
+		buf, err := p.(encoding.BinaryAppender).AppendBinary(buf)
+		if err != nil {
+			return nil, encodeErr("payload %T: %w", p, err)
+		}
+		binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
+		return buf, nil
 	}
 }
 
-// payloadBox wraps a gob payload so interface-typed values round-trip.
-type payloadBox struct{ V any }
+// The payload registry maps struct payload types to their wire names and
+// names to decoders. Register fills it at init time; both processes of a
+// cluster run the same binary, so they agree on every name.
+var (
+	regMu     sync.RWMutex
+	regNames  = map[reflect.Type]string{}
+	regDecode = map[string]func([]byte) (any, error){}
+)
+
+// Register makes struct payloads of type T encodable: the wire carries name,
+// which must be stable and unique, followed by T's AppendBinary output, and
+// the decoder rebuilds a T value through (*T).UnmarshalBinary. Call it from
+// an init function of the package that sends T. Registering a name or a
+// type twice panics.
+func Register[T encoding.BinaryAppender, PT interface {
+	*T
+	encoding.BinaryUnmarshaler
+}](name string) {
+	typ := reflect.TypeFor[T]()
+	regMu.Lock()
+	defer regMu.Unlock()
+	if _, dup := regDecode[name]; dup {
+		panic(fmt.Sprintf("wire: payload name %q registered twice", name))
+	}
+	if _, dup := regNames[typ]; dup {
+		panic(fmt.Sprintf("wire: payload type %v registered twice", typ))
+	}
+	regNames[typ] = name
+	regDecode[name] = func(b []byte) (any, error) {
+		var v T
+		if err := PT(&v).UnmarshalBinary(b); err != nil {
+			return nil, err
+		}
+		return v, nil
+	}
+}
 
 // windowMinBytes is the smallest possible encoded WindowStats (empty
 // component name), used to sanity-check batch counts before allocating.
@@ -357,17 +452,25 @@ func (d *decoder) payload() any {
 			return nil
 		}
 		return append([]byte(nil), b...)
-	case kindGob:
-		gb := d.bytes()
+	case kindStruct:
+		name := d.bytes()
+		body := d.bytes()
 		if d.err != nil {
 			return nil
 		}
-		var box payloadBox
-		if err := gob.NewDecoder(bytes.NewReader(gb)).Decode(&box); err != nil {
-			d.err = fmt.Errorf("wire: gob payload: %w", err)
+		regMu.RLock()
+		dec, ok := regDecode[string(name)]
+		regMu.RUnlock()
+		if !ok {
+			d.err = fmt.Errorf("wire: payload name %q is not registered", name)
 			return nil
 		}
-		return box.V
+		v, err := dec(body)
+		if err != nil {
+			d.err = fmt.Errorf("wire: payload %q: %w", name, err)
+			return nil
+		}
+		return v
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("wire: unknown payload kind %d", kind)

@@ -3,7 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -11,18 +11,49 @@ import (
 	"testing"
 
 	"embera/internal/core"
+	"embera/internal/mjpeg"
 	"embera/internal/monitor"
 )
 
-// gobUnit stands in for the struct payloads real workloads push through the
-// kindGob fallback (block groups, pixel groups).
-type gobUnit struct {
-	ID   int
+// testUnit stands in for the struct payloads real workloads register
+// (block groups, pixel groups).
+type testUnit struct {
+	ID   int64
 	Tag  string
 	Vals []int64
 }
 
-func init() { gob.Register(gobUnit{}) }
+func (u testUnit) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint64(b, uint64(u.ID))
+	b = appendString(b, u.Tag)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(u.Vals)))
+	for _, v := range u.Vals {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b, nil
+}
+
+func (u *testUnit) UnmarshalBinary(data []byte) error {
+	d := decoder{b: data}
+	id, tag, n := int64(d.u64()), d.str(), d.u32()
+	if d.err == nil && int(n) > (len(d.b)-d.off)/8 {
+		return fmt.Errorf("testUnit: %d values cannot fit %d bytes", n, len(d.b)-d.off)
+	}
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(d.u64())
+	}
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(d.b) {
+		return fmt.Errorf("testUnit: %d trailing bytes", len(d.b)-d.off)
+	}
+	*u = testUnit{ID: id, Tag: tag, Vals: vals}
+	return nil
+}
+
+func init() { Register[testUnit]("wire.testUnit") }
 
 // randFrame builds a random frame of a random type, populating exactly the
 // fields DecodeFrame would, so a round-tripped frame must be DeepEqual.
@@ -97,8 +128,8 @@ func randPayload(rng *rand.Rand) any {
 		rng.Read(b)
 		return b
 	default:
-		return gobUnit{
-			ID:   rng.Int(),
+		return testUnit{
+			ID:   rng.Int63(),
 			Tag:  randString(rng, 1+rng.Intn(8)),
 			Vals: []int64{rng.Int63(), rng.Int63()},
 		}
@@ -200,7 +231,7 @@ func TestTruncatedFrameRejected(t *testing.T) {
 	samples := []Frame{
 		{Type: TypeHello, Shard: 3},
 		{Type: TypeData, Edge: 9, Bytes: 640, From: "Source.out", Payload: uint64(42)},
-		{Type: TypeData, Edge: 1, Payload: gobUnit{ID: 5, Tag: "g", Vals: []int64{1}}},
+		{Type: TypeData, Edge: 1, Payload: testUnit{ID: 5, Tag: "g", Vals: []int64{1}}},
 		{Type: TypeEdgeClose, Edge: 2},
 		{Type: TypeWindows, Shard: 1, Windows: []monitor.WindowStats{randWindow(rng)}},
 		{Type: TypeReports, Shard: 0, Units: 7, Checksum: 0xdead, Reports: randReports(rng)},
@@ -336,11 +367,13 @@ func TestConnRoundTripAndEOF(t *testing.T) {
 }
 
 // TestEncodeDataFrameAllocs pins the hot path: a data frame with a scalar
-// payload must encode into a pre-grown buffer without allocating — the same
-// budget the trace codec's event encode holds.
+// or registered struct payload must encode into a pre-grown buffer without
+// allocating — the same budget the trace codec's event encode holds.
 func TestEncodeDataFrameAllocs(t *testing.T) {
-	payloads := []any{nil, true, int(-17), int64(1 << 40), uint64(42), float64(2.75), "unit-99"}
-	buf := make([]byte, 0, 256)
+	g := realGroups(t, mjpeg.EncodeOptions{Quality: 75}, 4)[1]
+	payloads := []any{nil, true, int(-17), int64(1 << 40), uint64(42), float64(2.75), "unit-99",
+		testUnit{ID: 3, Tag: "u", Vals: []int64{1, 2}}, g, mjpeg.TransformGroup(&g)}
+	buf := make([]byte, 0, 64<<10)
 	for _, p := range payloads {
 		f := Frame{Type: TypeData, Edge: 3, Bytes: 128, From: "Source.out", Payload: p}
 		allocs := testing.AllocsPerRun(200, func() {
