@@ -8,6 +8,7 @@ package embera_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"embera/internal/core"
@@ -484,6 +485,53 @@ func BenchmarkMonitorSamplePath(b *testing.B) {
 			drain = ring.DrainInto(drain[:0])
 		}
 	}
+}
+
+// BenchmarkMemorySinkWrite measures the monitor's window history: each
+// iteration writes one run's worth of typical windows (three components,
+// 10 samples per window, a few non-zero buckets per histogram) into a fresh
+// MemorySink. It reports the write cost per window and the heap the
+// history retains per window after GC.
+func BenchmarkMemorySinkWrite(b *testing.B) {
+	const perRun = 18_000
+	windows := make([]monitor.WindowStats, 300)
+	for i := range windows {
+		w := &windows[i]
+		w.Component = [...]string{"Fetch", "IDCT", "Reorder"}[i%3]
+		w.StartUS, w.EndUS = int64(i)*10_000, int64(i+1)*10_000
+		w.CoveredUS, w.Samples = 10_000, 10
+		w.SendOps, w.DeltaSendOps, w.SendRate = uint64(i), 1, 100
+		for j := 0; j < 10; j++ {
+			w.DepthHist.Observe(int64(j % 3))
+			w.LatencyHist.Observe(int64(40 + i%50))
+		}
+	}
+	var s *monitor.MemorySink
+	var retained float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		var m0, m1 runtime.MemStats
+		s = nil
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		s = monitor.NewMemorySink()
+		for j := 0; j < perRun; j++ {
+			if err := s.WriteWindow(windows[j%len(windows)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		retained = (float64(m1.HeapAlloc) - float64(m0.HeapAlloc)) / perRun
+		b.StartTimer()
+	}
+	b.StopTimer()
+	runtime.KeepAlive(s)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perRun), "ns/window")
+	b.ReportMetric(retained, "B/window")
 }
 
 // BenchmarkNativePipelineThroughput runs the synthetic pipeline workload on

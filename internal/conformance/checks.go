@@ -234,15 +234,18 @@ func checkMonitorAgreement(run *exp.Result) error {
 	if mon == nil {
 		return fmt.Errorf("monitor: differential run carried no monitor")
 	}
+	// Each total folds every window of its component, so its Samples sum
+	// over the totals is the sum over all windows.
+	totals := mon.Totals()
 	var windowed int
-	for _, w := range mon.Windows() {
-		windowed += w.Samples
+	for _, t := range totals {
+		windowed += t.Samples
 	}
 	if accepted := mon.Samples(); uint64(windowed) != accepted {
 		return fmt.Errorf("monitor: %d samples accepted but %d aggregated into windows",
 			accepted, windowed)
 	}
-	for _, t := range mon.Totals() {
+	for _, t := range totals {
 		rep, ok := run.Reports[t.Component]
 		if !ok {
 			return fmt.Errorf("monitor: sampled unknown component %q", t.Component)
@@ -277,9 +280,10 @@ func checkTailLatency(run *exp.Result) error {
 	if mon == nil {
 		return fmt.Errorf("latency: differential run carried no monitor")
 	}
+	// Merging the per-component totals merges every window's histogram.
 	var lat monitor.Hist
-	for _, w := range mon.Windows() {
-		lat.Merge(&w.LatencyHist)
+	for _, t := range mon.Totals() {
+		lat.Merge(&t.LatencyHist)
 	}
 	if lat.Total == 0 {
 		if run.Platform.Deterministic() && run.MakespanUS >= latencyHorizonUS {

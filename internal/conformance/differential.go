@@ -275,13 +275,6 @@ func runChecked(p platform.Platform, workload string, migrate bool) (*exp.Result
 	if err != nil {
 		return nil, err
 	}
-	if run.Kernel != nil {
-		// Everything checked from here on is recorded data. Unwind the
-		// simulation's parked service flows, which would otherwise keep
-		// each finished machine — caches, recorder and all — alive for
-		// the rest of a long sweep.
-		defer run.Kernel.Shutdown()
-	}
 	if sched != nil {
 		if err := sched.Err(); err != nil {
 			return nil, fmt.Errorf("migration schedule: %w", err)

@@ -241,6 +241,12 @@ func Run(p platform.Platform, w platform.Workload, opts Options) (_ *Result, err
 		return nil, err
 	}
 	m, a := as.machine, as.app
+	if k := m.Kernel(); k != nil {
+		// Everything the result carries is recorded data. Unwind the
+		// simulation's parked service flows, which would otherwise keep
+		// the finished machine alive for as long as the process runs.
+		defer k.Shutdown()
+	}
 	if as.mon != nil {
 		// The remaining failure paths leave a run that will never
 		// quiesce: wind the monitor's drivers down with it.

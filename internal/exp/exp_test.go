@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -449,5 +451,23 @@ func TestPipelineCompareChecksumsAgree(t *testing.T) {
 	}
 	if !strings.Contains(FormatP1(rows), "checksum") {
 		t.Error("P1 formatting broken")
+	}
+}
+
+// TestRunReleasesFinishedSimulations: a finished simulated run leaves
+// nothing running. Thirty in-process runs of random workloads on smp must
+// leave the goroutine count within a few of where it started; before Run
+// shut its kernel down, every run left its parked service flows behind.
+func TestRunReleasesFinishedSimulations(t *testing.T) {
+	p := platform.MustGet("smp")
+	before := runtime.NumGoroutine()
+	for seed := 1; seed <= 30; seed++ {
+		w := platform.MustGetWorkload(fmt.Sprintf("rand:%d", seed))
+		if _, err := Run(p, w, Options{Monitor: &monitor.Config{}}); err != nil {
+			t.Fatalf("rand:%d: %v", seed, err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+4 {
+		t.Fatalf("%d goroutines before 30 runs, %d after: finished simulations leaked", before, after)
 	}
 }

@@ -351,6 +351,11 @@ func (sr *ServedRun) runGeneration() (err error) {
 		sr.samples.Add(mon.Samples())
 		sr.dropped.Add(mon.Dropped())
 		sr.sinkErr.Add(mon.SinkErrors())
+		// Unpublished, the generation is unreachable to control: release
+		// a simulated machine's parked service flows with it.
+		if k := m.Kernel(); k != nil {
+			k.Shutdown()
+		}
 	}()
 
 	a.SpawnDriver("serve/control", func(f core.Flow) { sr.controlLoop(a, f) })

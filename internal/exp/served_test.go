@@ -10,6 +10,7 @@ import (
 	"embera/internal/core"
 	"embera/internal/monitor"
 	"embera/internal/platform"
+	"embera/internal/testwait"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -296,18 +297,11 @@ func TestServedCloseAtGenerationBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stuck := func(what string) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("iteration %d: %s\n%s", i, what, buf[:runtime.Stack(buf, true)])
-		}
 		// Generations increments as a generation begins assembling; poll
 		// finely so Close lands close to that boundary.
-		deadline := time.Now().Add(10 * time.Second)
-		for sr.Generations() == 0 {
-			if time.Now().After(deadline) {
-				stuck("no generation started within 10s")
-			}
-			time.Sleep(10 * time.Microsecond)
+		if err := testwait.Until(time.Now().Add(10*time.Second), "no generation started within 10s",
+			func() bool { return sr.Generations() > 0 }); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 		time.Sleep(time.Duration(i%8) * 50 * time.Microsecond)
 		closed := make(chan struct{})
@@ -315,13 +309,30 @@ func TestServedCloseAtGenerationBoundaries(t *testing.T) {
 			sr.Close()
 			close(closed)
 		}()
-		select {
-		case <-closed:
-		case <-time.After(10 * time.Second):
-			stuck("Close did not return within 10s of a generation start")
+		if err := testwait.For(closed, 10*time.Second, "Close did not return within 10s of a generation start"); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 		if s := sr.Stats(); s.Running {
 			t.Fatalf("iteration %d: generation still running after Close: %+v", i, s)
 		}
+	}
+}
+
+// TestServedReleasesFinishedGenerations: every finished generation on a
+// simulated platform shuts its kernel down, so twenty generations leave
+// the goroutine count where it started once the assembly is closed.
+func TestServedReleasesFinishedGenerations(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sr, err := RunServed(platform.MustGet("smp"), platform.MustGetWorkload("pipeline"), ServedOptions{
+		Options: Options{Options: platform.Options{Scale: 40}, Monitor: &monitor.Config{}},
+		Pace:    time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "20 completed generations", func() bool { return sr.Stats().CompletedChecks >= 20 })
+	sr.Close()
+	if after := runtime.NumGoroutine(); after > before+4 {
+		t.Fatalf("%d goroutines before 20 generations, %d after Close: finished generations leaked", before, after)
 	}
 }

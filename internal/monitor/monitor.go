@@ -611,12 +611,14 @@ func (m *Monitor) OverheadBudgetPct() float64 { return m.budgetPct }
 // WindowUS reports the current aggregation window length.
 func (m *Monitor) WindowUS() int64 { return m.windowUS.Load() }
 
-// Windows returns every window closed so far, in time order.
+// Windows returns every window closed so far, in arrival order: cluster
+// Ingest interleaves the shards' windows, so that is not time order.
 func (m *Monitor) Windows() []WindowStats { return m.mem.Windows() }
 
 // Totals merges every closed window into one whole-run aggregate per
-// component, sorted by component name.
-func (m *Monitor) Totals() []WindowStats { return MergeWindows(m.mem.Windows()) }
+// component, sorted by component name: MergeWindows(Windows()), read from
+// running aggregates in O(components) without rebuilding the history.
+func (m *Monitor) Totals() []WindowStats { return m.mem.Totals() }
 
 // Samples reports how many samples were accepted into the ring.
 func (m *Monitor) Samples() uint64 { return m.samples.Load() }

@@ -39,31 +39,6 @@ type CounterAttacher interface {
 	AttachCounters(c LossCounters)
 }
 
-// MemorySink retains every window in memory, for tests and for end-of-run
-// reporting (MergeWindows over Windows()).
-type MemorySink struct {
-	mu      sync.Mutex
-	windows []WindowStats
-}
-
-// NewMemorySink creates an empty in-memory sink.
-func NewMemorySink() *MemorySink { return &MemorySink{} }
-
-// WriteWindow implements Sink.
-func (s *MemorySink) WriteWindow(w WindowStats) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.windows = append(s.windows, w)
-	return nil
-}
-
-// Windows returns a copy of the windows received so far, in arrival order.
-func (s *MemorySink) Windows() []WindowStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]WindowStats(nil), s.windows...)
-}
-
 // WindowRecord is the flat export schema of one component's window: the
 // JSONL line format and the SSE wire payload of embera-serve, with
 // percentiles pre-extracted so downstream tooling needs no histogram math.

@@ -263,48 +263,63 @@ func (ag *Aggregator) Flush(endUS int64) []WindowStats {
 // MergeWindows folds a sequence of WindowStats (typically every window of a
 // run) into one cumulative aggregate per component, sorted by name: the
 // whole-run view the CLI prints. Rates are recomputed over the merged span.
+// It is the reference fold: MemorySink.Totals keeps the same aggregates
+// incrementally.
 func MergeWindows(windows []WindowStats) []WindowStats {
 	byComp := map[string]*WindowStats{}
 	var order []string
-	for _, w := range windows {
+	for i := range windows {
+		w := &windows[i]
 		t := byComp[w.Component]
 		if t == nil {
-			cp := w
+			cp := *w
 			byComp[w.Component] = &cp
 			order = append(order, w.Component)
 			continue
 		}
-		if w.StartUS < t.StartUS {
-			t.StartUS = w.StartUS
-		}
-		if w.EndUS > t.EndUS {
-			t.EndUS = w.EndUS
-		}
-		t.Samples += w.Samples
-		t.CoveredUS += w.CoveredUS
-		t.SendOps, t.RecvOps = w.SendOps, w.RecvOps
-		t.DeltaSendOps += w.DeltaSendOps
-		t.DeltaRecvOps += w.DeltaRecvOps
-		if w.DepthHigh > t.DepthHigh {
-			t.DepthHigh = w.DepthHigh
-		}
-		t.DepthHist.Merge(&w.DepthHist)
-		t.LatencyHist.Merge(&w.LatencyHist)
-		if w.MemHigh > t.MemHigh {
-			t.MemHigh = w.MemHigh
-		}
+		foldWindow(t, w)
 	}
 	sort.Strings(order)
 	out := make([]WindowStats, 0, len(order))
 	for _, name := range order {
 		t := byComp[name]
-		cov := t.CoveredUS
-		if cov <= 0 {
-			cov = t.EndUS - t.StartUS
-		}
-		t.SendRate = rate(t.DeltaSendOps, cov)
-		t.RecvRate = rate(t.DeltaRecvOps, cov)
+		finishTotal(t)
 		out = append(out, *t)
 	}
 	return out
+}
+
+// foldWindow folds w into t, the running aggregate of w's component, which
+// started as a copy of the component's first window. Rates are left to
+// finishTotal.
+func foldWindow(t, w *WindowStats) {
+	if w.StartUS < t.StartUS {
+		t.StartUS = w.StartUS
+	}
+	if w.EndUS > t.EndUS {
+		t.EndUS = w.EndUS
+	}
+	t.Samples += w.Samples
+	t.CoveredUS += w.CoveredUS
+	t.SendOps, t.RecvOps = w.SendOps, w.RecvOps
+	t.DeltaSendOps += w.DeltaSendOps
+	t.DeltaRecvOps += w.DeltaRecvOps
+	if w.DepthHigh > t.DepthHigh {
+		t.DepthHigh = w.DepthHigh
+	}
+	t.DepthHist.Merge(&w.DepthHist)
+	t.LatencyHist.Merge(&w.LatencyHist)
+	if w.MemHigh > t.MemHigh {
+		t.MemHigh = w.MemHigh
+	}
+}
+
+// finishTotal recomputes a folded aggregate's rates over its merged span.
+func finishTotal(t *WindowStats) {
+	cov := t.CoveredUS
+	if cov <= 0 {
+		cov = t.EndUS - t.StartUS
+	}
+	t.SendRate = rate(t.DeltaSendOps, cov)
+	t.RecvRate = rate(t.DeltaRecvOps, cov)
 }

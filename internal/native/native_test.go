@@ -1,7 +1,6 @@
 package native_test
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -9,6 +8,7 @@ import (
 	"embera/internal/exp"
 	"embera/internal/monitor"
 	"embera/internal/platform"
+	"embera/internal/testwait"
 
 	_ "embera/internal/mjpegapp"
 	_ "embera/internal/pipelineapp"
@@ -218,11 +218,9 @@ func TestObserverQueriesLiveApplication(t *testing.T) {
 	var midSends uint64
 	var qErr error
 	a.SpawnDriver("prober", func(f core.Flow) {
-		select {
-		case <-firstSent:
-		case <-time.After(10 * time.Second):
+		if err := testwait.For(firstSent, 10*time.Second, "producer never sent"); err != nil {
 			close(queried)
-			qErr = errors.New("producer never sent")
+			qErr = err
 			return
 		}
 		reports, err := obs.QueryAll(f, core.LevelAll)

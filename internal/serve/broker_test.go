@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"embera/internal/monitor"
+	"embera/internal/testwait"
 )
 
 func event(assembly string, seq uint64, component string) Event {
@@ -63,20 +64,16 @@ func TestBrokerSlowSubscriberContract(t *testing.T) {
 	// Every blocking wait below has a deadline: a regression fails with a
 	// goroutine dump instead of hanging the package.
 	deadline := time.Now().Add(30 * time.Second)
-	stuck := func(what string) {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("%s: fast subscriber received %d of %d events\n%s",
-			what, received.Load(), total, buf[:runtime.Stack(buf, true)])
+	stuck := func(err error) {
+		t.Fatalf("fast subscriber received %d of %d events: %v", received.Load(), total, err)
 	}
+	// Let the fast consumer drain before every publish, so its backlog
+	// never reaches the queue capacity: the contract under test is the
+	// stalled queue, not the fast reader's scheduling luck.
+	drained := func() bool { return fast.Enqueued()-received.Load() < queueCap }
 	for seq := uint64(1); seq <= total; seq++ {
-		// Let the fast consumer drain before every publish, so its backlog
-		// never reaches the queue capacity: the contract under test is the
-		// stalled queue, not the fast reader's scheduling luck.
-		for fast.Enqueued()-received.Load() >= queueCap {
-			if time.Now().After(deadline) {
-				stuck("publisher throttle")
-			}
-			runtime.Gosched()
+		if err := testwait.Until(deadline, "publisher throttle", drained); err != nil {
+			stuck(err)
 		}
 		b.Publish(event("a0", seq, component))
 	}
@@ -85,10 +82,8 @@ func TestBrokerSlowSubscriberContract(t *testing.T) {
 		wg.Wait()
 		close(readerDone)
 	}()
-	select {
-	case <-readerDone:
-	case <-time.After(time.Until(deadline)):
-		stuck("fast reader")
+	if err := testwait.For(readerDone, time.Until(deadline), "fast reader"); err != nil {
+		stuck(err)
 	}
 
 	runtime.GC()

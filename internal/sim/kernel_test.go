@@ -383,3 +383,28 @@ func TestShutdownUnwindsParkedDaemons(t *testing.T) {
 		t.Fatalf("clock after shutdown = %d", k.Now())
 	}
 }
+
+// TestShutdownIdempotent: Shutdown on a kernel that never ran, and a
+// second Shutdown after the first, are no-ops that leave the clock and the
+// (empty) process and event sets as they were.
+func TestShutdownIdempotent(t *testing.T) {
+	NewKernel().Shutdown()
+	k := NewKernel()
+	q := NewQueue[int](k, "idle", 0)
+	unwound := 0
+	k.Spawn("daemon", func(p *Proc) {
+		defer func() { unwound++ }()
+		q.Get(p)
+	}).SetDaemon(true)
+	k.Spawn("worker", func(p *Proc) { p.Advance(3 * Microsecond) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		k.Shutdown()
+		if unwound != 1 || k.Live() != 0 || k.Pending() != 0 || k.Now() != Time(3*Microsecond) {
+			t.Fatalf("after shutdown %d: unwound=%d live=%d pending=%d now=%d",
+				i+1, unwound, k.Live(), k.Pending(), k.Now())
+		}
+	}
+}
