@@ -5,28 +5,14 @@ import (
 	"sync"
 )
 
-// Chunk capacities of MemorySink's history. A chunk never grows, so
-// appending a window never copies the ones before it: the history costs
-// what it holds, not a doubling slice's growth copies and slack. Chunk
-// capacities double from the first to the last size, so a short run (a
-// served generation, a test) does not pay for 64 KB of chunks up front.
+// Chunk capacities of MemorySink's history, about 8 KB each. A chunk
+// never grows, so appending a window never copies the ones before it: the
+// history costs what it holds, not a doubling slice's growth copies and
+// slack.
 const (
-	firstWindowChunk = 15
-	windowChunk      = 240 // packed windows (136 B each): just under 32 KB
-	firstCountsChunk = 256
-	countsChunk      = 4096 // histogram counts: 32 KB
+	windowChunk = 60   // packed windows, 136 B each
+	countsChunk = 1024 // histogram counts
 )
-
-// nextChunk appends a new empty chunk after chunks, whose last chunk (if
-// any) is full: the first chunk holds first elements, each later one
-// twice its predecessor, up to limit.
-func nextChunk[T any](chunks [][]T, first, limit int) [][]T {
-	c := first
-	if k := len(chunks); k > 0 {
-		c = min(2*cap(chunks[k-1]), limit)
-	}
-	return append(chunks, make([]T, 0, c))
-}
 
 // histHead is what a stored histogram keeps besides its bucket counts.
 type histHead struct {
@@ -102,7 +88,7 @@ func (s *MemorySink) WriteWindow(w WindowStats) error {
 	p.depthFirst, p.depthN = s.putSpan(&w.DepthHist)
 	p.latFirst, p.latN = s.putSpan(&w.LatencyHist)
 	if k := len(s.windows); k == 0 || len(s.windows[k-1]) == cap(s.windows[k-1]) {
-		s.windows = nextChunk(s.windows, firstWindowChunk, windowChunk)
+		s.windows = append(s.windows, make([]packedWindow, 0, windowChunk))
 	}
 	last := &s.windows[len(s.windows)-1]
 	*last = append(*last, p)
@@ -125,7 +111,7 @@ func (s *MemorySink) putSpan(h *Hist) (first, n uint8) {
 	}
 	for span := h.Counts[lo : hi+1]; len(span) > 0; {
 		if k := len(s.counts); k == 0 || len(s.counts[k-1]) == cap(s.counts[k-1]) {
-			s.counts = nextChunk(s.counts, firstCountsChunk, countsChunk)
+			s.counts = append(s.counts, make([]uint64, 0, countsChunk))
 		}
 		last := &s.counts[len(s.counts)-1]
 		m := min(len(span), cap(*last)-len(*last))

@@ -2,7 +2,6 @@ package perfstat
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"embera/internal/core"
@@ -64,15 +63,10 @@ func (o *HarnessOptions) setDefaults() {
 
 // measureCell runs one platform×workload×options cell repeats times and
 // returns the run and cost of the repetition with the smallest wall time.
-// Every repetition starts from a collected heap, as each round of a
-// testing.B does: otherwise whether a collection lands inside a
-// millisecond cell depends on the garbage and the live heap that earlier
-// cells left behind, not on the cell.
 func measureCell(p platform.Platform, w platform.Workload, opts exp.Options, repeats int) (*exp.Result, exp.HostCost, error) {
 	var bestRun *exp.Result
 	var bestCost exp.HostCost
 	for i := 0; i < repeats; i++ {
-		runtime.GC()
 		run, cost, err := exp.MeasuredRun(p, w, opts)
 		if err != nil {
 			return nil, exp.HostCost{}, err

@@ -15,7 +15,11 @@ type Cache struct {
 	lineSize int
 	sets     int
 	ways     int
-	tags     [][]uint64 // per-set LRU list, most recent first (0 = invalid)
+	// tags holds each set's LRU list, most recent first (0 = invalid). It
+	// is allocated on the first touch: a machine models one cache per
+	// core, and a run that leaves most cores idle should not allocate and
+	// collect their line state.
+	tags [][]uint64
 
 	hits, misses uint64
 }
@@ -31,9 +35,7 @@ func NewCache(capacity int64, lineSize, ways int) *Cache {
 	if sets == 0 {
 		sets = 1
 	}
-	c := &Cache{lineSize: lineSize, sets: sets, ways: ways}
-	c.tags = make([][]uint64, sets)
-	return c
+	return &Cache{lineSize: lineSize, sets: sets, ways: ways}
 }
 
 // Touch simulates accessing [addr, addr+n) and updates hit/miss counters.
@@ -49,6 +51,9 @@ func (c *Cache) Touch(addr uint64, n int) {
 }
 
 func (c *Cache) touchLine(line uint64) {
+	if c.tags == nil {
+		c.tags = make([][]uint64, c.sets)
+	}
 	set := int(line % uint64(c.sets))
 	tags := c.tags[set]
 	for i, t := range tags {
@@ -85,7 +90,7 @@ func (c *Cache) MissRate() float64 {
 // Reset clears both the counters and the line state.
 func (c *Cache) Reset() {
 	c.hits, c.misses = 0, 0
-	c.tags = make([][]uint64, c.sets)
+	c.tags = nil
 }
 
 // LineSize returns the configured line size in bytes.

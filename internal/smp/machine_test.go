@@ -299,6 +299,21 @@ func TestCacheMissRateAndReset(t *testing.T) {
 	}
 }
 
+// TestCacheLineStateOnFirstTouch: a new cache allocates only itself, and
+// its line state, allocated on the first touch, is cleared by Reset.
+func TestCacheLineStateOnFirstTouch(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { NewCache(2<<20, 64, 8) }); n != 1 {
+		t.Errorf("NewCache allocations = %v, want 1", n)
+	}
+	c := NewCache(4096, 64, 2)
+	c.Touch(0, 64)
+	c.Reset()
+	c.Touch(0, 64)
+	if h, m := c.Stats(); h != 0 || m != 1 {
+		t.Errorf("touch after reset: hits=%d misses=%d, want 0/1", h, m)
+	}
+}
+
 func TestCacheBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
